@@ -1,5 +1,5 @@
 //! **E10** — shuttle tree (Section 2): search transfers under the
-//! vEB/Fibonacci layout stay O(log_{B+1} N) (Lemma 4) and beat a random
+//! van Emde Boas/Fibonacci layout stay O(log_{B+1} N) (Lemma 4) and beat a random
 //! (pointer-machine) placement of the same tree; the buffer hierarchy
 //! keeps amortized insert work per element far below a root-to-leaf
 //! rewrite (Theorem 17's regime).
@@ -21,14 +21,14 @@ fn main() {
     let mut csv = std::fs::File::create(&csv_path).unwrap();
     writeln!(
         csv,
-        "n,veb_tps,random_tps,height,shuttled_per_insert,splits"
+        "n,layout_tps,random_tps,height,shuttled_per_insert,splits"
     )
     .unwrap();
 
     println!("== E10: shuttle tree layout & insert shape (B = {BLOCK} B) ==");
     println!(
         "{:>10} {:>10} {:>12} {:>12} {:>14} {:>10}",
-        "N", "height", "vEB tps", "random tps", "shuttled/ins", "splits"
+        "N", "height", "layout tps", "random tps", "shuttled/ins", "splits"
     );
     let mut n = 1u64 << 13;
     while n <= max_n {
@@ -43,8 +43,8 @@ fn main() {
         let cfg = CacheConfig::new(BLOCK, MEM_BLOCKS);
 
         LayoutImage::assign(&mut t);
-        let veb = measure_searches(&t, &probes, cfg);
-        let veb_tps = veb.fetches as f64 / probes.len() as f64;
+        let packed = measure_searches(&t, &probes, cfg);
+        let layout_tps = packed.fetches as f64 / probes.len() as f64;
 
         LayoutImage::assign_random(&mut t, 0xBADC0DE);
         let rnd = measure_searches(&t, &probes, cfg);
@@ -54,21 +54,21 @@ fn main() {
             "{:>10} {:>10} {:>12.2} {:>12.2} {:>14.2} {:>10}",
             n,
             t.height(),
-            veb_tps,
+            layout_tps,
             rnd_tps,
             shuttled,
             splits
         );
         writeln!(
             csv,
-            "{n},{veb_tps:.4},{rnd_tps:.4},{},{shuttled:.3},{splits}",
+            "{n},{layout_tps:.4},{rnd_tps:.4},{},{shuttled:.3},{splits}",
             t.height()
         )
         .unwrap();
         n *= 4;
     }
     println!(
-        "\nshape check: vEB transfers grow ~log_B N and stay below the\n\
+        "\nshape check: layout transfers grow ~log_B N and stay below the\n\
          random layout's (which pays ~1 block per tree node on the path)."
     );
     println!("csv: {}", csv_path.display());

@@ -178,8 +178,6 @@ pub struct RunMeta {
     pub parallel_ingest: bool,
     /// Whether fractional cascading was enabled.
     pub cascade: bool,
-    /// Whether vEB-packed search layouts were enabled.
-    pub veb_layout: bool,
     /// Lookahead-pointer density of the COLA levels.
     pub pointer_density: f64,
     /// Key distribution CLI name.
@@ -215,7 +213,6 @@ impl RunMeta {
             },
             parallel_ingest: cfg.parallel_ingest,
             cascade: cfg.cascade,
-            veb_layout: cfg.veb_layout,
             pointer_density: cfg.pointer_density,
             dist: dist.name().to_string(),
             ops,
@@ -913,7 +910,6 @@ impl ScenarioReport {
                     .with("cache_bytes", m.cache_bytes.into())
                     .with("parallel_ingest", Json::Bool(m.parallel_ingest))
                     .with("cascade", Json::Bool(m.cascade))
-                    .with("veb_layout", Json::Bool(m.veb_layout))
                     .with("pointer_density", m.pointer_density.into())
                     .with("dist", m.dist.as_str().into())
                     .with("ops", m.ops.into())
@@ -1010,9 +1006,11 @@ pub fn merge_document(scenario: &str, existing: Option<&Json>, new_runs: &[Json]
 /// fanout, deamortization) the bare structure name does not — a 2-COLA
 /// and an 8-COLA must not replace each other's trajectory rows;
 /// cache_bytes because it directly changes transfer counts on file
-/// cells. `cascade`/`veb_layout`/`pointer_density` default to the
-/// builder defaults when absent, so baselines recorded before those
-/// fields existed keep matching runs that use the defaults.
+/// cells. `cascade`/`pointer_density` default to the builder defaults
+/// when absent, so baselines recorded before those fields existed keep
+/// matching runs that use the defaults. Meta fields outside this list
+/// are ignored, so rows written while the removed search-layout toggle
+/// still existed (with the toggle off) match fresh runs.
 pub fn run_identity(run: &Json) -> String {
     let meta = run.get("meta");
     let s = |k: &str| {
@@ -1034,16 +1032,12 @@ pub fn run_identity(run: &Json) -> String {
         .and_then(|m| m.get("cascade"))
         .and_then(Json::as_bool)
         .unwrap_or(true);
-    let veb = meta
-        .and_then(|m| m.get("veb_layout"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
     let density = meta
         .and_then(|m| m.get("pointer_density"))
         .and_then(Json::as_f64)
         .unwrap_or(0.1);
     format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         s("structure"),
         s("label"),
         s("backend"),
@@ -1051,7 +1045,6 @@ pub fn run_identity(run: &Json) -> String {
         n("cache_bytes"),
         parallel,
         cascade,
-        veb,
         density,
         s("dist"),
         n("ops"),
@@ -1241,7 +1234,6 @@ mod tests {
             cache_bytes: 0,
             parallel_ingest: false,
             cascade: true,
-            veb_layout: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,
@@ -1291,6 +1283,50 @@ mod tests {
                 .get("transfers")
                 .is_some());
         }
+    }
+
+    #[test]
+    fn baseline_rows_from_before_the_layout_toggle_removal_still_match() {
+        // The checked-in baseline was recorded while the search-layout
+        // toggle existed, so its rows carry that flag (off) in their
+        // meta. A fresh run of the same cell must still share its
+        // identity, or `compare` would silently stop gating the row.
+        let doc = crate::json::parse(include_str!(
+            "../../../results/baseline/BENCH_read_heavy.json"
+        ))
+        .unwrap();
+        let old = &doc.get("runs").unwrap().as_arr().unwrap()[0];
+        let m = old.get("meta").unwrap();
+        let s = |k: &str| m.get(k).and_then(Json::as_str).unwrap().to_string();
+        let n = |k: &str| m.get(k).and_then(Json::as_u64).unwrap();
+        let scenario = Scenario::by_name("read_heavy").unwrap();
+        let meta = RunMeta {
+            structure: s("structure"),
+            label: s("label"),
+            backend: s("backend"),
+            shards: n("shards") as usize,
+            cache_bytes: n("cache_bytes"),
+            parallel_ingest: false,
+            cascade: true,
+            pointer_density: 0.1,
+            dist: s("dist"),
+            ops: n("ops"),
+            prefill: n("prefill"),
+            seed: n("seed"),
+        };
+        let mut db = DbBuilder::new().build().unwrap();
+        let dist = scenario.dist_for(meta.ops);
+        let fresh = run(scenario, dist, meta, &mut db).to_json();
+        let fields = |j: &Json| match j {
+            Json::Obj(f) => f.len(),
+            _ => 0,
+        };
+        assert_eq!(
+            fields(fresh.get("meta").unwrap()) + 1,
+            fields(m),
+            "the baseline row carries one meta field fresh runs no longer write"
+        );
+        assert_eq!(run_identity(&fresh), run_identity(old));
     }
 
     #[test]
@@ -1405,7 +1441,6 @@ mod tests {
             cache_bytes: 64 * 1024,
             parallel_ingest: false,
             cascade: true,
-            veb_layout: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,

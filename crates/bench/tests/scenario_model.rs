@@ -49,7 +49,6 @@ fn check_cell(scenario: &Scenario, builder: DbBuilder, n: u64, seed: u64) {
         cache_bytes: 0,
         parallel_ingest: false,
         cascade: true,
-        veb_layout: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,
@@ -138,7 +137,6 @@ fn drain_scenario_streams_exactly_the_live_set() {
         cache_bytes: 0,
         parallel_ingest: false,
         cascade: true,
-        veb_layout: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,

@@ -23,8 +23,8 @@
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cascade::{build_aux, AuxBuilder, LevelAux, Probe, SealedRun};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_BASIC_COLA};
@@ -45,24 +45,19 @@ fn level_off(k: usize) -> usize {
 #[derive(Debug)]
 pub struct BasicCola<M: Mem<Cell>> {
     mem: M,
-    /// `full[k]` ⇔ level k holds items (Invariant 1).
-    full: Vec<bool>,
+    /// Level k's run: `len` is `2^k` iff the level holds items
+    /// (Invariant 1), else 0. Its aux is `Some` exactly for full levels
+    /// while `cascade` is on, rebuilt by the merge that rebuilds the
+    /// level, so it can never go stale: a carry to level `t` empties
+    /// every level below `t` and touches none above it.
+    runs: Vec<SealedRun>,
     /// Total insertions performed (the paper's N).
     n: u64,
     stats: ColaStats,
-    /// Per-level read accelerators (fences, filter, ghost sample); kept
-    /// in lockstep with `full` — `Some` exactly for full levels while
-    /// `cascade` is on. Rebuilt by the merge that rebuilds a level, so
-    /// it can never go stale: a carry to level `t` empties every level
-    /// below `t` and touches none above it.
-    aux: Vec<Option<LevelAux>>,
     /// Whether searches use the cascade accelerators. The pre-cascade
     /// binary-search path is kept behind this toggle for differential
     /// testing ([`BasicCola::set_cascade`]).
     cascade: bool,
-    /// Whether sealed levels carry a vEB-packed mirror of their ghost
-    /// sample ([`BasicCola::set_veb_layout`]); off by default.
-    veb: bool,
 }
 
 impl BasicCola<PlainMem<Cell>> {
@@ -78,12 +73,10 @@ impl<M: Mem<Cell>> BasicCola<M> {
         mem.resize(2, Cell::default()); // spare + level 0
         BasicCola {
             mem,
-            full: vec![false],
+            runs: vec![SealedRun::new(level_off(0), 0, None)],
             n: 0,
             stats: ColaStats::default(),
-            aux: vec![None],
             cascade: true,
-            veb: false,
         }
     }
 
@@ -97,39 +90,14 @@ impl<M: Mem<Cell>> BasicCola<M> {
             return;
         }
         self.cascade = enabled;
-        for k in 0..self.full.len() {
-            if enabled && self.full[k] {
-                self.rebuild_aux(k);
-            } else {
-                self.aux[k] = None;
-            }
+        for run in &mut self.runs {
+            run.set_cascade(&self.mem, enabled);
         }
     }
 
     /// Whether the cascade read path is active.
     pub fn cascade_enabled(&self) -> bool {
         self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way — the mirror only changes how the DRAM-resident ghost
-    /// sample is probed — so the toggle can flip freely, including
-    /// across reopens. Flipping rebuilds the mirrors from the in-DRAM
-    /// samples without touching any stored cell.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
     }
 
     /// Number of insert operations performed (the paper's N).
@@ -139,12 +107,12 @@ impl<M: Mem<Cell>> BasicCola<M> {
 
     /// Number of levels allocated.
     pub fn levels(&self) -> usize {
-        self.full.len()
+        self.runs.len()
     }
 
     /// Whether level `k` currently holds items.
     pub fn level_full(&self, k: usize) -> bool {
-        self.full[k]
+        self.runs[k].len > 0
     }
 
     /// Work counters.
@@ -157,12 +125,22 @@ impl<M: Mem<Cell>> BasicCola<M> {
         &self.mem
     }
 
+    /// Seals level `k` as full, with the given accelerators.
+    fn seal(&mut self, k: usize, aux: Option<LevelAux>) {
+        self.runs[k] = SealedRun::new(level_off(k), 1 << k, aux);
+    }
+
+    /// Marks level `k` empty.
+    fn empty(&mut self, k: usize) {
+        self.runs[k] = SealedRun::new(level_off(k), 0, None);
+    }
+
     fn ensure_levels(&mut self, levels: usize) {
-        while self.full.len() < levels {
-            self.full.push(false);
-            self.aux.push(None);
+        while self.runs.len() < levels {
+            self.runs
+                .push(SealedRun::new(level_off(self.runs.len()), 0, None));
         }
-        let need = level_off(self.full.len() - 1) + (1 << (self.full.len() - 1));
+        let need = level_off(self.runs.len() - 1) + (1 << (self.runs.len() - 1));
         if self.mem.len() < need {
             self.mem.resize(need, Cell::default());
         }
@@ -175,20 +153,15 @@ impl<M: Mem<Cell>> BasicCola<M> {
 
         // Find the first empty level t (levels 0..t are full).
         let mut t = 0usize;
-        while t < self.full.len() && self.full[t] {
+        while t < self.runs.len() && self.level_full(t) {
             t += 1;
         }
         self.ensure_levels(t + 1);
 
         if t == 0 {
             self.mem.set(level_off(0), cell);
-            self.full[0] = true;
-            let veb = self.veb;
-            self.aux[0] = self.cascade.then(|| {
-                let mut b = AuxBuilder::new(1);
-                b.push(&cell);
-                b.finish().with_veb(veb)
-            });
+            let aux = self.cascade.then(|| build_aux([cell].iter()));
+            self.seal(0, aux);
             self.stats.cells_written += 1;
             let w = self.stats.cells_written - before;
             self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -257,14 +230,11 @@ impl<M: Mem<Cell>> BasicCola<M> {
             self.stats.cells_written += w as u64;
             run_base = out_base;
             run_len += lvl_len;
-            self.full[j] = false;
-            self.aux[j] = None;
+            self.empty(j);
         }
         debug_assert_eq!(run_base, target_base);
         debug_assert_eq!(run_len, 1 << t);
-        self.full[t] = true;
-        let veb = self.veb;
-        self.aux[t] = aux_builder.map(|b| b.finish().with_veb(veb));
+        self.seal(t, aux_builder.map(AuxBuilder::finish));
 
         let w = self.stats.cells_written - before;
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -295,7 +265,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
         let mut t = 0usize;
         loop {
             self.ensure_levels(t + 1);
-            if !self.full[t] && (1usize << t) >= b {
+            if !self.level_full(t) && (1usize << t) >= b {
                 break;
             }
             t += 1;
@@ -304,11 +274,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
         // Sources, newest first: the batch, then levels 0..t ascending.
         let mut sources: Vec<Vec<Cell>> = Vec::with_capacity(t + 1);
         sources.push(batch.to_vec());
-        for j in 0..t {
-            if self.full[j] {
-                let base = level_off(j);
-                sources.push((0..1usize << j).map(|i| self.mem.get(base + i)).collect());
-            }
+        for run in &self.runs[..t] {
+            sources.push((0..run.len).map(|i| self.mem.get(run.base + i)).collect());
         }
 
         // Stable k-way merge: among equal keys, the earlier (newer) source
@@ -339,21 +306,18 @@ impl<M: Mem<Cell>> BasicCola<M> {
         self.stats.merges += 1;
         let mut start = 0usize;
         for k in 0..=t {
-            let full = total >> k & 1 == 1;
-            self.full[k] = full;
-            if full {
+            if total >> k & 1 == 1 {
+                let chunk = &merged[start..start + (1 << k)];
                 let base = level_off(k);
-                for i in 0..(1usize << k) {
-                    self.mem.set(base + i, merged[start + i]);
+                for (i, &c) in chunk.iter().enumerate() {
+                    self.mem.set(base + i, c);
                 }
-                let veb = self.veb;
-                self.aux[k] = self.cascade.then(|| {
-                    crate::cascade::build_aux(merged[start..start + (1 << k)].iter()).with_veb(veb)
-                });
+                let aux = self.cascade.then(|| build_aux(chunk.iter()));
+                self.seal(k, aux);
                 self.stats.cells_written += 1u64 << k;
                 start += 1 << k;
             } else {
-                self.aux[k] = None;
+                self.empty(k);
             }
         }
         debug_assert_eq!(start, total);
@@ -361,75 +325,13 @@ impl<M: Mem<Cell>> BasicCola<M> {
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
     }
 
-    /// The cursor's merge sources: every full level, newest first.
-    fn runs(&self) -> Vec<Run> {
-        (0..self.full.len())
-            .filter(|&k| self.full[k])
-            .map(|k| Run {
-                base: level_off(k),
-                len: 1 << k,
-            })
-            .collect()
-    }
-
-    /// Leftmost cell with key == `key` in the slot window `[lo, hi)` of
-    /// level `k`, if any (the newest version within the level). The
-    /// window must contain every cell with the given key, and its
-    /// preceding cells must all have smaller keys — the ghost-window
-    /// contract of [`LevelAux::window`]. Pass `(0, 1 << k)` for a full
-    /// binary search.
-    fn search_level_window(
-        &mut self,
-        k: usize,
-        key: u64,
-        mut lo: usize,
-        hi: usize,
-    ) -> Option<Cell> {
-        let base = level_off(k);
-        let mut end = hi;
-        while lo < end {
-            let mid = (lo + end) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                end = mid;
-            }
-        }
-        if lo < hi {
-            let c = self.mem.get(base + lo);
-            self.stats.cells_scanned += 1;
-            if c.key == key {
-                return Some(c);
-            }
-        }
-        None
-    }
-
-    /// Rebuilds level `k`'s cascade aux by scanning its cells (used on
-    /// reopen and when re-enabling the cascade; merges build the aux
-    /// inline instead).
-    fn rebuild_aux(&mut self, k: usize) {
-        let base = level_off(k);
-        let len = 1usize << k;
-        let mut b = AuxBuilder::new(len);
-        for i in 0..len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k] = Some(b.finish().with_veb(self.veb));
-    }
-
     /// Rebuilds the structure keeping only live entries (drops shadowed
     /// versions and tombstones). Extension: the paper's COLA never removes
     /// anything; compaction restores `physical_len == live keys`.
     pub fn compact(&mut self) {
         let live = self.range(0, u64::MAX);
-        for f in self.full.iter_mut() {
-            *f = false;
-        }
-        for a in self.aux.iter_mut() {
-            *a = None;
+        for k in 0..self.runs.len() {
+            self.empty(k);
         }
         self.n = 0;
         // Distribute the sorted live entries over levels matching the
@@ -461,9 +363,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
                     b.push(&cell);
                 }
             }
-            let veb = self.veb;
-            self.aux[k] = b.map(|b| b.finish().with_veb(veb));
-            self.full[k] = true;
+            self.seal(k, b.map(AuxBuilder::finish));
             self.n += 1 << k;
         }
     }
@@ -518,92 +418,73 @@ impl<M: Mem<Cell>> BasicCola<M> {
                 mem.len()
             )));
         }
-        let aux = vec![None; levels];
-        let mut cola = BasicCola {
+        let mut runs = Vec::with_capacity(levels);
+        for (k, (&f, fence)) in full.iter().zip(&fences).enumerate() {
+            let mut run = SealedRun::new(level_off(k), if f { 1 << k } else { 0 }, None);
+            run.rebuild(&mem);
+            run.check()
+                .map_err(|e| MetaError::Invalid(format!("level {k} cascade state: {e}")))?;
+            if let (Some((min, max)), Some(rebuilt)) = (fence, &run.aux) {
+                if (*min, *max) != (rebuilt.fence_min, rebuilt.fence_max) {
+                    return Err(MetaError::Invalid(format!(
+                        "level {k} fence keys ({min}, {max}) disagree with stored cells \
+                         ({}, {})",
+                        rebuilt.fence_min, rebuilt.fence_max
+                    )));
+                }
+            }
+            runs.push(run);
+        }
+        Ok(BasicCola {
             mem,
-            full,
+            runs,
             n,
             stats: ColaStats::default(),
-            aux,
             cascade: true,
-            veb: false,
-        };
-        for (k, fence) in fences.iter().enumerate() {
-            if !cola.full[k] {
-                continue;
-            }
-            cola.rebuild_aux(k);
-            let rebuilt = cola.aux[k].as_ref().expect("just rebuilt");
-            rebuilt
-                .check()
-                .map_err(|e| MetaError::Invalid(format!("level {k} cascade state: {e}")))?;
-            let (min, max) = fence.expect("fence recorded for every full level");
-            if (min, max) != (rebuilt.fence_min, rebuilt.fence_max) {
-                return Err(MetaError::Invalid(format!(
-                    "level {k} fence keys ({min}, {max}) disagree with stored cells \
-                     ({}, {})",
-                    rebuilt.fence_min, rebuilt.fence_max
-                )));
-            }
-        }
-        Ok(cola)
+        })
     }
 
     /// Checks Invariant 1 (level k full ⇔ bit k of N) and per-level
     /// sortedness. Panics on violation; for tests.
     pub fn check_invariants(&self) {
-        for (k, &f) in self.full.iter().enumerate() {
+        for (k, run) in self.runs.iter().enumerate() {
+            let full = self.n >> k & 1 == 1;
             assert_eq!(
-                f,
-                self.n >> k & 1 == 1,
+                run.len > 0,
+                full,
                 "level {k} fullness disagrees with bit {k} of N={}",
                 self.n
             );
-        }
-        for (k, &f) in self.full.iter().enumerate() {
-            if !f {
+            assert_eq!(run.base, level_off(k), "level {k} run base");
+            if !full {
+                assert!(run.aux.is_none(), "level {k} empty but has cascade aux");
                 continue;
             }
-            let base = level_off(k);
-            for i in 1..(1usize << k) {
+            assert_eq!(run.len, 1 << k, "level {k} run length");
+            for i in 1..run.len {
                 assert!(
-                    self.mem.get(base + i - 1).key <= self.mem.get(base + i).key,
+                    self.mem.get(run.base + i - 1).key <= self.mem.get(run.base + i).key,
                     "level {k} not sorted at {i}"
                 );
             }
-        }
-        // Cascade state: aux present exactly for full levels while the
-        // toggle is on, internally consistent, and agreeing with the
-        // stored cells' fence keys.
-        assert_eq!(self.aux.len(), self.full.len(), "aux out of lockstep");
-        for (k, &f) in self.full.iter().enumerate() {
-            match &self.aux[k] {
-                Some(aux) => {
-                    assert!(f, "level {k} empty but has cascade aux");
-                    assert!(self.cascade, "cascade off but level {k} has aux");
-                    aux.check().unwrap_or_else(|e| panic!("level {k} aux: {e}"));
-                    assert_eq!(aux.len, 1usize << k, "level {k} aux length");
-                    assert_eq!(
-                        aux.veb.is_some(),
-                        self.veb,
-                        "level {k} vEB mirror out of lockstep with the toggle"
-                    );
-                    let base = level_off(k);
-                    assert_eq!(
-                        (aux.fence_min, aux.fence_max),
-                        (
-                            self.mem.get(base).key,
-                            self.mem.get(base + (1 << k) - 1).key
-                        ),
-                        "level {k} fences disagree with stored cells"
-                    );
-                }
-                None => {
-                    assert!(
-                        !f || !self.cascade,
-                        "cascade on but full level {k} lacks aux"
-                    );
-                }
+            // Cascade state: aux present exactly for full levels while
+            // the toggle is on, internally consistent, and agreeing
+            // with the stored cells' fence keys.
+            assert_eq!(
+                run.aux.is_some(),
+                self.cascade,
+                "level {k} aux out of lockstep with the cascade toggle"
+            );
+            run.check().unwrap_or_else(|e| panic!("level {k} aux: {e}"));
+            if let Some(aux) = &run.aux {
+                assert_eq!(
+                    (aux.fence_min, aux.fence_max),
+                    (
+                        self.mem.get(run.base).key,
+                        self.mem.get(run.base + run.len - 1).key
+                    ),
+                    "level {k} fences disagree with stored cells"
+                );
             }
         }
     }
@@ -612,21 +493,18 @@ impl<M: Mem<Cell>> BasicCola<M> {
 impl<M: Mem<Cell>> Persist for BasicCola<M> {
     fn save_meta(&mut self) -> Vec<u8> {
         let mut w = MetaWriter::new(TAG_BASIC_COLA, META_VERSION);
-        w.u64(self.n).usize(self.full.len());
-        for &f in &self.full {
-            w.bool(f);
+        w.u64(self.n).usize(self.runs.len());
+        for run in &self.runs {
+            w.bool(run.len > 0);
         }
         // v2: each full level's fence keys (its first and last cell —
         // every basic-COLA cell is non-redundant), read straight from
         // the store so the record is valid regardless of the runtime
         // cascade toggle. `from_parts` cross-checks them against the
         // reopened cells.
-        for k in 0..self.full.len() {
-            if self.full[k] {
-                let base = level_off(k);
-                w.u64(self.mem.get(base).key);
-                w.u64(self.mem.get(base + (1 << k) - 1).key);
-            }
+        for run in self.runs.iter().filter(|r| r.len > 0) {
+            w.u64(self.mem.get(run.base).key);
+            w.u64(self.mem.get(run.base + run.len - 1).key);
         }
         w.finish()
     }
@@ -643,24 +521,8 @@ impl<M: Mem<Cell>> Dictionary for BasicCola<M> {
 
     fn get(&mut self, key: u64) -> Option<u64> {
         self.stats.searches += 1;
-        for k in 0..self.full.len() {
-            if !self.full[k] {
-                continue;
-            }
-            // Cascade fast path: fences and the filter skip the level
-            // outright (0 transfers); otherwise the ghost sample brackets
-            // the probe to a one-stride window.
-            let window = match self.aux.get(k).and_then(Option::as_ref) {
-                Some(aux) if self.cascade => {
-                    if !aux.may_contain(key) {
-                        self.stats.filter_skips += 1;
-                        continue;
-                    }
-                    aux.window(key)
-                }
-                _ => (0, 1usize << k),
-            };
-            if let Some(c) = self.search_level_window(k, key, window.0, window.1) {
+        for run in self.runs.iter().filter(|r| r.len > 0) {
+            if let Probe::Found(c) = run.probe(&self.mem, key, (0, run.len), &mut self.stats) {
                 return c.as_lookup();
             }
         }
@@ -668,8 +530,13 @@ impl<M: Mem<Cell>> Dictionary for BasicCola<M> {
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        let runs = self.runs();
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
+        // Every full level, newest first.
+        let runs = self
+            .runs
+            .iter()
+            .filter(|r| r.len > 0)
+            .map(SealedRun::as_run);
+        Cursor::new(RunMergeCursor::new(&self.mem, runs.collect(), lo, hi))
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {

@@ -20,12 +20,19 @@
 //!    run itself is probed in `O(1)` block transfers instead of
 //!    `O(log(run) / B)`.
 //!
+//! [`SealedRun`] is the one read path over a run: every variant's point
+//! query probes each of its runs through [`SealedRun::probe`], and the
+//! variants differ only in level geometry and merge scheduling.
+//!
 //! None of this changes the cell layout, so cursors, epoch-snapshot run
 //! stacks, and the on-disk format are unaffected; see DESIGN.md
 //! ("Fractional cascading & filters") for the sizing rationale.
 
+use cosbt_dam::Mem;
+
+use crate::cursor::Run;
 use crate::entry::Cell;
-use crate::layout::VebIndex;
+use crate::stats::ColaStats;
 
 /// Ghost-pointer density: one sampled `(key, slot)` per this many slots.
 ///
@@ -34,17 +41,6 @@ use crate::layout::VebIndex;
 /// blocks of 32-byte cells while costing only ~2 bytes of DRAM per
 /// stored cell.
 pub const GHOST_STRIDE: usize = 8;
-
-/// Minimum ghost-sample size for the vEB mirror to engage.
-///
-/// The mirror only changes *where* DRAM probes land, never which blocks
-/// are fetched, so its value is purely a memory-hierarchy effect: a
-/// sample below a few thousand keys sits in L1/L2 where a predicted
-/// branchy binary search wins, while larger samples spill and the
-/// cache-oblivious packing starts paying. Runs below the threshold keep
-/// the flat search even with the toggle on — answers are bit-identical
-/// either way, so this is invisible to everything but the clock.
-pub const VEB_MIN_GHOSTS: usize = 4096;
 
 /// Filter sizing: bits per stored key before rounding the bit-array up
 /// to a power of two. Ten bits with [`FILTER_HASHES`] probes targets the
@@ -145,12 +141,6 @@ pub struct LevelAux {
     pub ghosts: Vec<(u64, usize)>,
     /// Number of slots the aux was built over.
     pub len: usize,
-    /// Optional vEB-packed mirror of the ghost keys: when present,
-    /// [`LevelAux::window`] brackets via branchless cache-oblivious
-    /// probes instead of binary-searching the flat sample. Pure DRAM
-    /// state — results are bit-identical either way, so block-transfer
-    /// counts never depend on it.
-    pub veb: Option<VebIndex>,
 }
 
 impl LevelAux {
@@ -167,16 +157,8 @@ impl LevelAux {
     /// whose key is strictly below it to the first sampled slot whose
     /// key is strictly above. Costs zero block transfers.
     pub fn window(&self, key: u64) -> (usize, usize) {
-        // The vEB mirror (when enabled) and the flat binary search are
-        // interchangeable: both compute the same partition points over
-        // the sampled keys, bit-for-bit.
-        let (lo_idx, hi_idx) = match &self.veb {
-            Some(v) => (v.lower_bound(key), v.upper_bound(key)),
-            None => (
-                self.ghosts.partition_point(|&(k, _)| k < key),
-                self.ghosts.partition_point(|&(k, _)| k <= key),
-            ),
-        };
+        let lo_idx = self.ghosts.partition_point(|&(k, _)| k < key);
+        let hi_idx = self.ghosts.partition_point(|&(k, _)| k <= key);
         let lo = if lo_idx == 0 {
             0
         } else {
@@ -188,39 +170,6 @@ impl LevelAux {
             self.ghosts[hi_idx].1
         };
         (lo, hi)
-    }
-
-    /// Chainable [`LevelAux::set_veb`], for sealing sites that publish a
-    /// freshly finished aux: `builder.finish().with_veb(veb_on)`.
-    pub fn with_veb(mut self, on: bool) -> LevelAux {
-        if on {
-            self.set_veb(true);
-        }
-        self
-    }
-
-    /// Enables or disables the vEB-packed mirror of the ghost sample,
-    /// (re)building it from the in-DRAM sample — no run cells are
-    /// touched, so toggling costs zero block transfers. Engages only at
-    /// [`VEB_MIN_GHOSTS`] samples and above: below it the flat sample is
-    /// already cache-resident and a predicted branchy binary search beats
-    /// the fixed-height branchless descent, so small runs keep the flat
-    /// path even when the toggle is on (results are bit-identical either
-    /// way).
-    pub fn set_veb(&mut self, on: bool) {
-        self.set_veb_min(on, VEB_MIN_GHOSTS)
-    }
-
-    /// [`LevelAux::set_veb`] with an explicit engagement threshold.
-    /// Tests pass 0 to force the mirror onto small samples; production
-    /// sites go through `set_veb`.
-    pub fn set_veb_min(&mut self, on: bool, min_ghosts: usize) {
-        if on && self.ghosts.len() >= min_ghosts {
-            let keys: Vec<u64> = self.ghosts.iter().map(|&(k, _)| k).collect();
-            self.veb = Some(VebIndex::build(&keys));
-        } else {
-            self.veb = None;
-        }
     }
 
     /// Validates internal consistency (fence ordering, sample ordering
@@ -239,11 +188,6 @@ impl LevelAux {
             if pos >= self.len {
                 return Err(format!("ghost slot {pos} past run length {}", self.len));
             }
-        }
-        if let Some(v) = &self.veb {
-            let keys: Vec<u64> = self.ghosts.iter().map(|&(k, _)| k).collect();
-            v.check_against(&keys)
-                .map_err(|e| format!("vEB ghost mirror: {e}"))?;
         }
         Ok(())
     }
@@ -301,9 +245,7 @@ impl AuxBuilder {
         self.pos
     }
 
-    /// Finishes the run's aux. The vEB ghost mirror is *not* built here
-    /// — sealing sites call [`LevelAux::set_veb`] when the structure's
-    /// `veb_layout` toggle is on, so a disabled toggle costs nothing.
+    /// Finishes the run's aux.
     pub fn finish(self) -> LevelAux {
         LevelAux {
             fence_min: self.fence_min,
@@ -311,7 +253,6 @@ impl AuxBuilder {
             filter: self.filter,
             ghosts: self.ghosts,
             len: self.pos,
-            veb: None,
         }
     }
 }
@@ -323,6 +264,138 @@ pub fn build_aux<'a>(cells: impl ExactSizeIterator<Item = &'a Cell>) -> LevelAux
         b.push(c);
     }
     b.finish()
+}
+
+/// What [`SealedRun::probe`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// The fences or the filter ruled the run out; no cell was read.
+    Skipped,
+    /// The leftmost (newest) real cell with the key.
+    Found(Cell),
+    /// No real cell with the key. Carries the insertion index: the run
+    /// position (relative to its base) of the first cell whose key is not
+    /// below the probed one.
+    Miss(usize),
+}
+
+/// One sorted run as the read path sees it: where its cells live and,
+/// while the cascade is on, its read accelerators.
+///
+/// Every COLA variant keeps one `SealedRun` per run slot (a level, or an
+/// array of a deamortized level) and points it at the run's cells
+/// whenever the run is rewritten. An empty run has `len == 0` and no aux.
+#[derive(Debug, Clone, Default)]
+pub struct SealedRun {
+    /// First slot of the run.
+    pub base: usize,
+    /// Occupied slots.
+    pub len: usize,
+    /// The run's accelerators; `None` while the cascade is off, and for
+    /// runs sealed while it was off (those get a full binary search).
+    pub aux: Option<LevelAux>,
+}
+
+impl SealedRun {
+    /// A run of `len` cells from `base`, with the given accelerators.
+    pub fn new(base: usize, len: usize, aux: Option<LevelAux>) -> SealedRun {
+        SealedRun { base, len, aux }
+    }
+
+    /// Looks `key` up in the run.
+    ///
+    /// 1. The fences and the filter may skip the run without a read.
+    /// 2. The probe binary-searches the caller's `bracket` (run positions
+    ///    `[lo, hi)`, clamped to the run) intersected with the ghost
+    ///    window, for the first cell whose key is not below `key`.
+    /// 3. From there it scans the equal-key cells, up to the run end, for
+    ///    the leftmost real one: lookahead cells share keys with items.
+    ///
+    /// Every cell read counts in `stats.cells_scanned`. Pass `(0, len)`
+    /// as the bracket for a search with no outside guidance.
+    ///
+    /// Inlined: it runs once per run on every point query, like the
+    /// per-variant searches it replaced.
+    #[inline]
+    pub fn probe<M: Mem<Cell>>(
+        &self,
+        mem: &M,
+        key: u64,
+        bracket: (usize, usize),
+        stats: &mut ColaStats,
+    ) -> Probe {
+        let (mut lo, mut hi) = (bracket.0.min(self.len), bracket.1.min(self.len));
+        if let Some(aux) = &self.aux {
+            if !aux.may_contain(key) {
+                stats.filter_skips += 1;
+                return Probe::Skipped;
+            }
+            let (alo, ahi) = aux.window(key);
+            lo = lo.max(alo);
+            hi = hi.min(ahi);
+        }
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            stats.cells_scanned += 1;
+            if mem.get(self.base + mid).key < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        for i in lo..self.len {
+            let c = mem.get(self.base + i);
+            stats.cells_scanned += 1;
+            if c.key != key {
+                break;
+            }
+            if c.is_real() {
+                return Probe::Found(c);
+            }
+        }
+        Probe::Miss(lo)
+    }
+
+    /// Rebuilds the accelerators by scanning the run's cells (on reopen,
+    /// and when the cascade is switched on; merges build them inline).
+    pub fn rebuild<M: Mem<Cell>>(&mut self, mem: &M) {
+        self.aux = (self.len > 0).then(|| {
+            let mut b = AuxBuilder::new(self.len);
+            for i in 0..self.len {
+                b.push(&mem.get(self.base + i));
+            }
+            b.finish()
+        });
+    }
+
+    /// The run as a cursor merge source.
+    pub fn as_run(&self) -> Run {
+        Run {
+            base: self.base,
+            len: self.len,
+        }
+    }
+
+    /// Switches the accelerators on (rebuilt from the cells) or off.
+    pub fn set_cascade<M: Mem<Cell>>(&mut self, mem: &M, on: bool) {
+        if on {
+            self.rebuild(mem);
+        } else {
+            self.aux = None;
+        }
+    }
+
+    /// Validates the accelerators, if any, against the run's length.
+    pub fn check(&self) -> Result<(), String> {
+        match &self.aux {
+            Some(aux) if aux.len != self.len => Err(format!(
+                "aux built over {} slots, run holds {}",
+                aux.len, self.len
+            )),
+            Some(aux) => aux.check(),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -487,60 +560,99 @@ mod tests {
         assert_eq!(inc.filter, one_shot.filter);
     }
 
+    /// A run of `cells` at base 3 of a plain store, with or without aux.
+    fn sealed(cells: &[Cell], aux: bool) -> (cosbt_dam::PlainMem<Cell>, SealedRun) {
+        let mut mem = cosbt_dam::PlainMem::with_len(3, Cell::default());
+        mem.resize(3 + cells.len(), Cell::default());
+        for (i, &c) in cells.iter().enumerate() {
+            mem.set(3 + i, c);
+        }
+        let mut run = SealedRun::new(3, cells.len(), None);
+        run.set_cascade(&mem, aux);
+        (mem, run)
+    }
+
     #[test]
-    fn veb_window_is_bit_identical_to_flat() {
-        for seed in 0..6u64 {
-            let cells = sorted_cells(900 + seed as usize * 131, 0x7EB + seed);
-            let flat = build_aux(cells.iter());
-            let mut veb = flat.clone();
-            // Threshold 0: force the mirror onto a sample far below
-            // VEB_MIN_GHOSTS so the equivalence claim is actually probed.
-            veb.set_veb_min(true, 0);
-            assert!(veb.veb.is_some());
-            assert!(veb.check().is_ok());
-            for c in &cells {
-                assert_eq!(veb.window(c.key), flat.window(c.key));
-            }
+    fn probe_finds_leftmost_real_cell_past_lookaheads() {
+        let cells = [
+            Cell::item(3, 0),
+            Cell::lookahead(5, 0),
+            Cell::lookahead(5, 1),
+            Cell::item(5, 1),
+            Cell::item(5, 2),
+            Cell::item(9, 0),
+        ];
+        for aux in [false, true] {
+            let (mem, run) = sealed(&cells, aux);
+            let mut stats = ColaStats::default();
+            assert_eq!(
+                run.probe(&mem, 5, (0, run.len), &mut stats),
+                Probe::Found(Cell::item(5, 1)),
+                "aux {aux}: newest real version wins"
+            );
+            // A narrower bracket still scans on past its end.
+            assert_eq!(
+                run.probe(&mem, 5, (0, 2), &mut stats),
+                Probe::Found(Cell::item(5, 1))
+            );
+            assert_eq!(
+                run.probe(&mem, 9, (0, run.len), &mut stats),
+                Probe::Found(cells[5])
+            );
+        }
+        let (mem, run) = sealed(&cells, false);
+        let mut stats = ColaStats::default();
+        assert_eq!(run.probe(&mem, 4, (0, run.len), &mut stats), Probe::Miss(1));
+        assert_eq!(
+            run.probe(&mem, 10, (0, run.len), &mut stats),
+            Probe::Miss(6)
+        );
+        assert_eq!(stats.filter_skips, 0);
+        let (mem, run) = sealed(&cells, true);
+        assert_eq!(
+            run.probe(&mem, 10, (0, run.len), &mut stats),
+            Probe::Skipped
+        );
+        assert_eq!(run.probe(&mem, 0, (0, run.len), &mut stats), Probe::Skipped);
+        assert_eq!(stats.filter_skips, 2);
+    }
+
+    #[test]
+    fn probe_with_aux_agrees_with_full_search() {
+        for seed in 0..4u64 {
+            let cells = sorted_cells(700 + seed as usize * 53, 0x5EA1 + seed);
+            let (mem, plain) = sealed(&cells, false);
+            let (_, fast) = sealed(&cells, true);
             let mut rng = Rng::new(seed);
-            for _ in 0..500 {
-                let k = rng.below(1 << 41);
-                assert_eq!(veb.window(k), flat.window(k), "seed {seed} key {k}");
+            let probes = cells
+                .iter()
+                .map(|c| c.key)
+                .chain((0..300).map(|_| rng.below(1 << 41)));
+            for key in probes {
+                let (mut s1, mut s2) = (ColaStats::default(), ColaStats::default());
+                let want = plain.probe(&mem, key, (0, plain.len), &mut s1);
+                let got = fast.probe(&mem, key, (0, fast.len), &mut s2);
+                match (want, got) {
+                    (Probe::Found(a), Probe::Found(b)) => assert_eq!(a, b),
+                    (Probe::Miss(a), Probe::Miss(b)) => assert_eq!(a, b, "key {key}"),
+                    (Probe::Miss(_), Probe::Skipped) => {}
+                    other => panic!("key {key}: {other:?}"),
+                }
+                assert!(s2.cells_scanned <= s1.cells_scanned, "key {key}");
             }
-            veb.set_veb(false);
-            assert!(veb.veb.is_none());
         }
     }
 
     #[test]
-    fn check_rejects_stale_veb_mirror() {
-        let cells = sorted_cells(300, 9);
-        let mut aux = build_aux(cells.iter());
-        aux.set_veb_min(true, 0);
-        assert!(aux.check().is_ok());
-        // A mirror built over the wrong keys is self-consistent but must
-        // still fail the cross-check against the live ghost sample.
-        let mut wrong: Vec<u64> = aux.ghosts.iter().map(|&(k, _)| k).collect();
-        *wrong.last_mut().unwrap() += 1;
-        aux.veb = Some(crate::layout::VebIndex::build(&wrong));
-        assert!(aux.check().is_err(), "stale vEB mirror rejected");
-    }
-
-    #[test]
-    fn veb_mirror_engages_only_at_threshold() {
-        // Below VEB_MIN_GHOSTS the toggle is a no-op (flat search is
-        // already cache-resident); at or above it the mirror builds.
-        let small = sorted_cells(VEB_MIN_GHOSTS * GHOST_STRIDE / 2, 3);
-        let mut aux = build_aux(small.iter());
-        aux.set_veb(true);
-        assert!(aux.veb.is_none(), "sub-threshold sample stays flat");
-        let big = sorted_cells(VEB_MIN_GHOSTS * GHOST_STRIDE, 4);
-        let mut aux = build_aux(big.iter());
-        assert!(aux.ghosts.len() >= VEB_MIN_GHOSTS);
-        aux.set_veb(true);
-        assert!(aux.veb.is_some(), "threshold sample builds the mirror");
-        assert!(aux.check().is_ok());
-        aux.set_veb(false);
-        assert!(aux.veb.is_none());
+    fn run_check_rejects_aux_of_wrong_length() {
+        let cells = sorted_cells(64, 2);
+        let (_, mut run) = sealed(&cells, true);
+        assert!(run.check().is_ok());
+        run.len -= 1;
+        assert!(run.check().is_err(), "aux built over a different run");
+        let (_, empty) = sealed(&[], true);
+        assert!(empty.aux.is_none(), "an empty run carries no aux");
+        assert!(empty.check().is_ok());
     }
 
     #[test]

@@ -37,8 +37,8 @@
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cascade::{AuxBuilder, Probe, SealedRun};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT};
@@ -130,10 +130,11 @@ pub struct DeamortCola<M: Mem<Cell>> {
     seq: u64,
     stats: ColaStats,
     max_moves: u64,
-    /// Per-array read accelerators, `aux[k][a]` in lockstep with `arrs`.
-    /// Present for arrays with settled content while `cascade` is on;
-    /// cleared the moment an array becomes an incremental write target.
-    aux: Vec<[Option<LevelAux>; 3]>,
+    /// Per-array runs, `runs[k][a]` in lockstep with `arrs`: sealed over
+    /// the array's cells when its content settles (with an aux while
+    /// `cascade` is on), emptied when it empties or becomes an
+    /// incremental write target.
+    runs: Vec<[SealedRun; 3]>,
     /// Incremental aux builder for each level's in-flight phase, fed one
     /// cell per budgeted move and published when the phase's output
     /// array settles — the accelerator respects the deamortized
@@ -143,9 +144,6 @@ pub struct DeamortCola<M: Mem<Cell>> {
     /// full-binary-search path stays behind this toggle for differential
     /// testing ([`DeamortCola::set_cascade`]).
     cascade: bool,
-    /// Whether array auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`DeamortCola::set_veb_layout`]); off by default.
-    veb: bool,
 }
 
 /// Slot capacity of one array at level `k`: room for `2^k` items from each
@@ -185,10 +183,9 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             seq: 0,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None, None]],
+            runs: vec![Default::default()],
             phase_aux: vec![None],
             cascade: true,
-            veb: false,
         }
     }
 
@@ -203,15 +200,10 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             return;
         }
         self.cascade = enabled;
-        for k in 0..self.arrs.len() {
-            self.phase_aux[k] = None;
-            for a in 0..3 {
-                if enabled && self.arrs[k][a].len > 0 && !self.mid_phase(k, a) {
-                    self.rebuild_aux(k, a);
-                } else {
-                    self.aux[k][a] = None;
-                }
-            }
+        self.phase_aux.fill(None);
+        // Mid-phase arrays have empty runs, so only settled ones rebuild.
+        for run in self.runs.iter_mut().flatten() {
+            run.set_cascade(&self.mem, enabled);
         }
     }
 
@@ -220,56 +212,21 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         self.cascade
     }
 
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way, so the toggle can flip freely, including across
-    /// reopens and mid-phase: settled arrays rebuild their mirrors from
-    /// the in-DRAM samples now, and an in-flight phase picks up the
-    /// current flag when it publishes.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flat_map(|s| s.iter_mut()).flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
-    }
-
-    /// Whether array `(k, a)` is the in-flight write target of some
-    /// phase, i.e. its bookkeeping and cells are mid-rewrite.
-    fn mid_phase(&self, k: usize, a: usize) -> bool {
-        let is_merge_dst = k >= 1
-            && self.phase[k - 1]
-                .as_ref()
-                .is_some_and(|p| matches!(p, Phase::Merge { dst, .. } if *dst == a));
-        let is_copy_target = self.phase[k]
-            .as_ref()
-            .is_some_and(|p| matches!(p, Phase::CopyPtrs { to, .. } if *to == a));
-        is_merge_dst || is_copy_target
-    }
-
-    /// Rebuilds the aux for array `(k, a)` by scanning its occupied run
-    /// (used on reopen and when an array settles without an incremental
-    /// builder; phases normally build the aux inline).
-    fn rebuild_aux(&mut self, k: usize, a: usize) {
+    /// Seals array `(k, a)` over the cells its bookkeeping now names,
+    /// with `builder`'s aux. A phase that started while the cascade was
+    /// off has no builder; the aux is then rebuilt by scan, so the toggle
+    /// can't leave a settled array unaccelerated.
+    fn seal(&mut self, k: usize, a: usize, builder: Option<AuxBuilder>) {
         let ar = self.arrs[k][a];
-        if ar.len == 0 {
-            self.aux[k][a] = None;
-            return;
+        let mut run = SealedRun::new(
+            arr_off(k, a) + ar.start,
+            ar.len,
+            builder.map(AuxBuilder::finish),
+        );
+        if run.aux.is_none() && self.cascade {
+            run.rebuild(&self.mem);
         }
-        let base = arr_off(k, a) + ar.start;
-        let mut b = AuxBuilder::new(ar.len);
-        for i in 0..ar.len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k][a] = Some(b.finish().with_veb(self.veb));
+        self.runs[k][a] = run;
     }
 
     /// Number of insert operations performed.
@@ -301,7 +258,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         while self.arrs.len() <= k {
             self.arrs.push([Arr::empty(), Arr::empty(), Arr::empty()]);
             self.phase.push(None);
-            self.aux.push([None, None, None]);
+            self.runs.push(Default::default());
             self.phase_aux.push(None);
         }
         let need = arr_off(self.arrs.len(), 0);
@@ -364,8 +321,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         let total = self.arrs[k][src[0]].items + self.arrs[k][src[1]].items + ptrs.len();
         debug_assert!(total <= arr_cap(k + 1), "destination overflow");
         // The destination's cells are overwritten incrementally from here
-        // on; its aux (stale pointer-run state, if any) must go now.
-        self.aux[k + 1][dst] = None;
+        // on; its run (stale pointer-run state, if any) must go now.
+        self.runs[k + 1][dst] = SealedRun::default();
         self.phase_aux[k] = self.cascade.then(|| AuxBuilder::new(total));
         self.phase[k] = Some(Phase::Merge {
             src,
@@ -398,7 +355,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                         "visibility cascade would empty a live array at level {k}"
                     );
                     self.arrs[k][o].clear();
-                    self.aux[k][o] = None;
+                    self.runs[k][o] = SealedRun::default();
                 }
             }
             match self.arrs[k][a].linked_to {
@@ -501,18 +458,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                     d.seq = s0.seq.max(s1.seq);
                     d.zombie = false;
                     let dst_arr = *dst;
-                    // Publish the destination's aux. A merge that started
-                    // while the cascade was off has no builder; rebuild by
-                    // scan so the toggle can't leave a settled array
-                    // unaccelerated.
-                    self.aux[k + 1][dst_arr] = match self.phase_aux[k].take() {
-                        Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                        None if self.cascade => {
-                            self.rebuild_aux(k + 1, dst_arr);
-                            self.aux[k + 1][dst_arr].take()
-                        }
-                        None => None,
-                    };
+                    let builder = self.phase_aux[k].take();
+                    self.seal(k + 1, dst_arr, builder);
                     if k == 0 {
                         // Level-0 merges complete the chain: the target
                         // becomes visible immediately; level 0's arrays
@@ -521,7 +468,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                             let keep_vis = self.arrs[0][s].vis;
                             self.arrs[0][s].clear();
                             self.arrs[0][s].vis = keep_vis;
-                            self.aux[0][s] = None;
+                            self.runs[0][s] = SealedRun::default();
                         }
                         self.make_visible(1, dst_arr);
                         self.phase[k] = None;
@@ -577,14 +524,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                     t.items = 0;
                     t.linked_to = Some(*from);
                     let to_arr = *to;
-                    self.aux[k][to_arr] = match self.phase_aux[k].take() {
-                        Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                        None if self.cascade => {
-                            self.rebuild_aux(k, to_arr);
-                            self.aux[k][to_arr].take()
-                        }
-                        None => None,
-                    };
+                    let builder = self.phase_aux[k].take();
+                    self.seal(k, to_arr, builder);
                     self.phase[k] = None;
                     return spent;
                 }
@@ -609,12 +550,12 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         a.len = 1;
         a.items = 1;
         a.seq = self.seq;
-        let veb = self.veb;
-        self.aux[0][side] = self.cascade.then(|| {
+        let builder = self.cascade.then(|| {
             let mut b = AuxBuilder::new(1);
             b.push(&cell);
-            b.finish().with_veb(veb)
+            b
         });
+        self.seal(0, side, builder);
         self.stats.cells_written += 1;
 
         // Mover: trigger due merges lazily (skipping levels whose
@@ -655,47 +596,6 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             .collect();
         v.sort_unstable_by_key(|x| std::cmp::Reverse(x.0));
         v.into_iter().map(|(_, a)| a).collect()
-    }
-
-    /// Leftmost real cell with `key` in array `(k, a)`.
-    fn search_array(&mut self, k: usize, a: usize, key: u64) -> Option<Cell> {
-        let ar = self.arrs[k][a];
-        let base = arr_off(k, a) + ar.start;
-        // Cascade fast path: fences and the filter skip the array
-        // outright (0 cell reads); otherwise the ghost sample brackets
-        // the probe. An array without aux (settled while the cascade was
-        // off) falls back to the full binary search.
-        let (mut lo, mut hi) = match &self.aux[k][a] {
-            Some(aux) if self.cascade => {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return None;
-                }
-                aux.window(key)
-            }
-            _ => (0, ar.len),
-        };
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        while lo < ar.len {
-            let c = self.mem.get(base + lo);
-            self.stats.cells_scanned += 1;
-            if c.key != key {
-                return None;
-            }
-            if c.is_real() {
-                return Some(c);
-            }
-            lo += 1;
-        }
-        None
     }
 
     /// Completes every in-flight phase and every due merge (the mover's
@@ -795,10 +695,9 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             seq,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None, None]; count],
-            phase_aux: (0..count).map(|_| None).collect(),
+            runs: vec![Default::default(); count],
+            phase_aux: vec![None; count],
             cascade: true,
-            veb: false,
         };
         // v2: cross-check the persisted run fence keys against the
         // reopened cells, then rebuild each occupied array's cascade
@@ -819,11 +718,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                          with stored cells ({got_first}, {got_last})"
                     )));
                 }
-                cola.rebuild_aux(k, a);
-                let rebuilt = cola.aux[k][a]
-                    .as_ref()
-                    .expect("occupied array just rebuilt");
-                rebuilt.check().map_err(|e| {
+                cola.seal(k, a, None);
+                cola.runs[k][a].check().map_err(|e| {
                     MetaError::Invalid(format!("level {k} array {a} cascade state: {e}"))
                 })?;
             }
@@ -888,27 +784,22 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                     }
                 }
                 assert_eq!(items, ar.items, "level {k} array {a} item count");
-                // Cascade state for settled arrays: aux present exactly
-                // when occupied and the toggle is on (modulo arrays that
-                // settled while it was off), internally consistent, and
-                // sized to the occupied run.
-                match &self.aux[k][a] {
-                    Some(aux) => {
-                        assert!(ar.len > 0, "level {k} array {a} empty but has aux");
-                        assert!(self.cascade, "cascade off but level {k} array {a} has aux");
-                        aux.check()
-                            .unwrap_or_else(|e| panic!("level {k} array {a} aux: {e}"));
-                        assert_eq!(aux.len, ar.len, "level {k} array {a} aux length");
-                    }
-                    None => {
-                        // A settled occupied array may legitimately lack
-                        // aux only if it settled while the cascade was
-                        // off; with the cascade on since construction
-                        // this would be a staleness bug, but the toggle
-                        // makes it unprovable here — searches fall back
-                        // to the full binary search either way.
-                    }
+                // A settled array's run covers exactly its cells; its aux
+                // is present only while the toggle is on (and, with the
+                // toggle on, for every occupied settled array),
+                // internally consistent, and sized to the run.
+                let run = &self.runs[k][a];
+                assert_eq!(run.len, ar.len, "level {k} array {a} run length");
+                if ar.len > 0 {
+                    assert_eq!(run.base, base, "level {k} array {a} run base");
                 }
+                assert_eq!(
+                    run.aux.is_some(),
+                    self.cascade && ar.len > 0,
+                    "level {k} array {a} aux out of lockstep with the cascade toggle"
+                );
+                run.check()
+                    .unwrap_or_else(|e| panic!("level {k} array {a} aux: {e}"));
             }
         }
     }
@@ -961,7 +852,8 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
         self.stats.searches += 1;
         for k in 0..self.arrs.len() {
             for a in self.visible_arrays(k) {
-                if let Some(c) = self.search_array(k, a, key) {
+                let run = &self.runs[k][a];
+                if let Probe::Found(c) = run.probe(&self.mem, key, (0, run.len), &mut self.stats) {
                     return c.as_lookup();
                 }
             }
@@ -977,11 +869,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
         let mut runs = Vec::new();
         for k in 0..self.arrs.len() {
             for a in self.visible_arrays(k) {
-                let ar = self.arrs[k][a];
-                runs.push(Run {
-                    base: arr_off(k, a) + ar.start,
-                    len: ar.len,
-                });
+                runs.push(self.runs[k][a].as_run());
             }
         }
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))

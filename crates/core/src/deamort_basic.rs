@@ -17,8 +17,8 @@
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cascade::{AuxBuilder, Probe, SealedRun};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC};
@@ -66,9 +66,10 @@ pub struct DeamortBasicCola<M: Mem<Cell>> {
     stats: ColaStats,
     /// Largest number of cells moved by a single insert's mover pass.
     max_moves: u64,
-    /// Per-array read accelerators, `aux[k][side]` in lockstep with
-    /// `state` — `Some` exactly for `Full` arrays while `cascade` is on.
-    aux: Vec<[Option<LevelAux>; 2]>,
+    /// Per-array runs, `runs[k][side]` in lockstep with `state`: `2^k`
+    /// cells for `Full` arrays (with an aux while `cascade` is on), empty
+    /// otherwise.
+    runs: Vec<[SealedRun; 2]>,
     /// Incremental aux builders for in-flight merges, fed one cell per
     /// budgeted move and published when the destination array commits —
     /// the accelerator respects the deamortized per-insert move bound.
@@ -77,9 +78,6 @@ pub struct DeamortBasicCola<M: Mem<Cell>> {
     /// full-binary-search path stays behind this toggle for differential
     /// testing ([`DeamortBasicCola::set_cascade`]).
     cascade: bool,
-    /// Whether array auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`DeamortBasicCola::set_veb_layout`]); off by default.
-    veb: bool,
 }
 
 /// Offset of array `side` of level `k`: levels are packed contiguously,
@@ -108,10 +106,9 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             seq: 0,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None]],
+            runs: vec![Default::default()],
             merge_aux: vec![None],
             cascade: true,
-            veb: false,
         }
     }
 
@@ -126,15 +123,9 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             return;
         }
         self.cascade = enabled;
-        for k in 0..self.state.len() {
-            self.merge_aux[k] = None;
-            for side in 0..2 {
-                if enabled && matches!(self.state[k][side], ArrState::Full { .. }) {
-                    self.rebuild_aux(k, side);
-                } else {
-                    self.aux[k][side] = None;
-                }
-            }
+        self.merge_aux.fill(None);
+        for run in self.runs.iter_mut().flatten() {
+            run.set_cascade(&self.mem, enabled);
         }
     }
 
@@ -143,39 +134,16 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
         self.cascade
     }
 
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way, so the toggle can flip freely, including across
-    /// reopens and mid-merge: committed arrays rebuild their mirrors
-    /// from the in-DRAM samples now, and an in-flight merge picks up
-    /// the current flag when it commits.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
+    /// Seals array `(k, side)` as full, with `builder`'s aux. A merge
+    /// that started while the cascade was off has no builder; the aux is
+    /// then rebuilt by scan, so the toggle can't leave a committed array
+    /// unaccelerated.
+    fn seal(&mut self, k: usize, side: Side, builder: Option<AuxBuilder>) {
+        let mut run = SealedRun::new(arr_off(k, side), 1 << k, builder.map(AuxBuilder::finish));
+        if run.aux.is_none() && self.cascade {
+            run.rebuild(&self.mem);
         }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flat_map(|s| s.iter_mut()).flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
-    }
-
-    /// Rebuilds the aux for array `(k, side)` by scanning its cells
-    /// (used on reopen and when an array commits without an incremental
-    /// builder; merges normally build the aux inline).
-    fn rebuild_aux(&mut self, k: usize, side: Side) {
-        let base = arr_off(k, side);
-        let len = 1usize << k;
-        let mut b = AuxBuilder::new(len);
-        for i in 0..len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k][side] = Some(b.finish().with_veb(self.veb));
+        self.runs[k][side] = run;
     }
 
     /// Number of insert operations performed.
@@ -208,7 +176,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
         while self.state.len() <= k {
             self.state.push([ArrState::Empty; 2]);
             self.merges.push(None);
-            self.aux.push([None, None]);
+            self.runs.push(Default::default());
             self.merge_aux.push(None);
         }
         let need = arr_off(self.state.len(), 0);
@@ -286,20 +254,10 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             self.state[k + 1][ms.dst_side] = ArrState::Full { seq };
             self.state[k][0] = ArrState::Empty;
             self.state[k][1] = ArrState::Empty;
-            self.aux[k][0] = None;
-            self.aux[k][1] = None;
+            self.runs[k] = Default::default();
             self.merges[k] = None;
-            // Publish the destination's aux. A merge that started while
-            // the cascade was off has no builder; rebuild by scan so the
-            // toggle can't leave a committed array unaccelerated.
-            self.aux[k + 1][ms.dst_side] = match self.merge_aux[k].take() {
-                Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                None if self.cascade => {
-                    self.rebuild_aux(k + 1, ms.dst_side);
-                    self.aux[k + 1][ms.dst_side].take()
-                }
-                None => None,
-            };
+            let builder = self.merge_aux[k].take();
+            self.seal(k + 1, ms.dst_side, builder);
             // The commit may have made level k+1 unsafe.
             self.maybe_mark_unsafe(k + 1);
         } else {
@@ -328,12 +286,12 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             .expect("level 0 has no free array: mover fell behind");
         self.mem.set(arr_off(0, side), cell);
         self.state[0][side] = ArrState::Full { seq: self.seq };
-        let veb = self.veb;
-        self.aux[0][side] = self.cascade.then(|| {
+        let builder = self.cascade.then(|| {
             let mut b = AuxBuilder::new(1);
             b.push(&cell);
-            b.finish().with_veb(veb)
+            b
         });
+        self.seal(0, side, builder);
         self.stats.cells_written += 1;
         self.maybe_mark_unsafe(0);
 
@@ -351,42 +309,6 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
         let moved = m - budget;
         self.max_moves = self.max_moves.max(moved);
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(moved + 1);
-    }
-
-    /// Leftmost cell with `key` in the given full array, if any.
-    fn search_array(&mut self, k: usize, side: Side, key: u64) -> Option<Cell> {
-        let base = arr_off(k, side);
-        let len = 1usize << k;
-        // Cascade fast path: fences and the filter skip the array
-        // outright (0 cell reads); otherwise the ghost sample brackets
-        // the probe. An array without aux (merge committed while the
-        // cascade was off) falls back to the full binary search.
-        let (mut lo, mut hi) = match &self.aux[k][side] {
-            Some(aux) if self.cascade => {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return None;
-                }
-                aux.window(key)
-            }
-            _ => (0, len),
-        };
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < len {
-            let c = self.mem.get(base + lo);
-            if c.key == key {
-                return Some(c);
-            }
-        }
-        None
     }
 
     /// Full arrays of level `k`, newest first.
@@ -471,10 +393,9 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             seq,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None]; count],
-            merge_aux: (0..count).map(|_| None).collect(),
+            runs: vec![Default::default(); count],
+            merge_aux: vec![None; count],
             cascade: true,
-            veb: false,
         };
         // v2: rebuild each full array's cascade accelerators from the
         // reopened cells and cross-check the persisted fence keys —
@@ -485,11 +406,12 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                 let Some((min, max)) = *fence else {
                     continue;
                 };
-                cola.rebuild_aux(k, side);
-                let rebuilt = cola.aux[k][side].as_ref().expect("just rebuilt");
-                rebuilt.check().map_err(|e| {
+                cola.seal(k, side, None);
+                let run = &cola.runs[k][side];
+                run.check().map_err(|e| {
                     MetaError::Invalid(format!("level {k} side {side} cascade state: {e}"))
                 })?;
+                let rebuilt = run.aux.as_ref().expect("sealed with the cascade on");
                 if (min, max) != (rebuilt.fence_min, rebuilt.fence_max) {
                     return Err(MetaError::Invalid(format!(
                         "level {k} side {side} fence keys ({min}, {max}) disagree \
@@ -537,32 +459,36 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                 }
             }
         }
-        // Cascade state: aux only on full arrays and only while the
-        // toggle is on, internally consistent, and agreeing with the
-        // stored cells' fence keys. (A full array may lack aux if its
-        // merge committed while the cascade was off — searches fall
-        // back to the full binary search there.)
-        assert_eq!(self.aux.len(), self.state.len(), "aux out of lockstep");
+        // Cascade state: a run exactly for full arrays, with an aux
+        // exactly while the toggle is on, internally consistent, and
+        // agreeing with the stored cells' fence keys.
+        assert_eq!(self.runs.len(), self.state.len(), "runs out of lockstep");
         for k in 0..self.state.len() {
             for side in 0..2 {
-                if let Some(aux) = &self.aux[k][side] {
-                    assert!(
-                        matches!(self.state[k][side], ArrState::Full { .. }),
-                        "level {k} side {side} not full but has cascade aux"
-                    );
-                    assert!(
-                        self.cascade,
-                        "cascade off but level {k} side {side} has aux"
-                    );
-                    aux.check()
-                        .unwrap_or_else(|e| panic!("level {k} side {side} aux: {e}"));
-                    assert_eq!(aux.len, 1usize << k, "level {k} side {side} aux length");
-                    let base = arr_off(k, side);
+                let run = &self.runs[k][side];
+                let full = matches!(self.state[k][side], ArrState::Full { .. });
+                assert_eq!(
+                    (run.base, run.len),
+                    if full {
+                        (arr_off(k, side), 1 << k)
+                    } else {
+                        (0, 0)
+                    },
+                    "level {k} side {side} run bounds"
+                );
+                assert_eq!(
+                    run.aux.is_some(),
+                    full && self.cascade,
+                    "level {k} side {side} aux out of lockstep with the cascade toggle"
+                );
+                run.check()
+                    .unwrap_or_else(|e| panic!("level {k} side {side} aux: {e}"));
+                if let Some(aux) = &run.aux {
                     assert_eq!(
                         (aux.fence_min, aux.fence_max),
                         (
-                            self.mem.get(base).key,
-                            self.mem.get(base + (1 << k) - 1).key
+                            self.mem.get(run.base).key,
+                            self.mem.get(run.base + run.len - 1).key
                         ),
                         "level {k} side {side} fences disagree with stored cells"
                     );
@@ -620,7 +546,8 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
         self.stats.searches += 1;
         for k in 0..self.state.len() {
             for side in self.full_sides(k) {
-                if let Some(c) = self.search_array(k, side, key) {
+                let run = &self.runs[k][side];
+                if let Probe::Found(c) = run.probe(&self.mem, key, (0, run.len), &mut self.stats) {
                     return c.as_lookup();
                 }
             }
@@ -636,10 +563,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
         let mut runs = Vec::new();
         for k in 0..self.state.len() {
             for side in self.full_sides(k) {
-                runs.push(Run {
-                    base: arr_off(k, side),
-                    len: 1usize << k,
-                });
+                runs.push(self.runs[k][side].as_run());
             }
         }
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))

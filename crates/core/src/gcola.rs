@@ -33,8 +33,8 @@ use std::collections::BinaryHeap;
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cascade::{AuxBuilder, Probe, SealedRun};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
@@ -82,20 +82,16 @@ pub struct GCola<M: Mem<Cell>> {
     p: f64,
     n: u64,
     stats: ColaStats,
-    /// Per-level read accelerators (fences, filter, ghost sample) in
-    /// lockstep with `levels` — `Some` exactly for occupied levels while
-    /// `cascade` is on. Every level rewrite goes through
-    /// [`GCola::write_level`], which rebuilds the level's aux inline, so
-    /// it can never go stale.
-    aux: Vec<Option<LevelAux>>,
+    /// Each level's occupied run, in lockstep with `levels`; its aux is
+    /// `Some` exactly for occupied levels while `cascade` is on. Every
+    /// level rewrite goes through [`GCola::write_level`], which reseals
+    /// the run with an aux built inline, so it can never go stale.
+    runs: Vec<SealedRun>,
     /// Whether searches use the out-of-band cascade accelerators on top
     /// of the paper's in-array lookahead pointers. The pointer-only
     /// search path is kept behind this toggle for differential testing
     /// ([`GCola::set_cascade`]).
     cascade: bool,
-    /// Whether level auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`GCola::set_veb_layout`]); off by default.
-    veb: bool,
 }
 
 impl GCola<PlainMem<Cell>> {
@@ -120,9 +116,8 @@ impl<M: Mem<Cell>> GCola<M> {
             p,
             n: 0,
             stats: ColaStats::default(),
-            aux: Vec::new(),
+            runs: Vec::new(),
             cascade: true,
-            veb: false,
         };
         this.push_level();
         this
@@ -138,39 +133,14 @@ impl<M: Mem<Cell>> GCola<M> {
             return;
         }
         self.cascade = enabled;
-        for l in 0..self.levels.len() {
-            if enabled && self.levels[l].occ() > 0 {
-                self.rebuild_aux(l);
-            } else {
-                self.aux[l] = None;
-            }
+        for run in &mut self.runs {
+            run.set_cascade(&self.mem, enabled);
         }
     }
 
     /// Whether the cascade read path is active.
     pub fn cascade_enabled(&self) -> bool {
         self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way — the mirror only changes how the DRAM-resident ghost
-    /// sample is probed — so the toggle can flip freely, including
-    /// across reopens. Flipping rebuilds the mirrors from the in-DRAM
-    /// samples without touching any stored cell.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
     }
 
     /// The COLA of Lemma 20: growth factor 2 with lookahead pointers
@@ -284,44 +254,38 @@ impl<M: Mem<Cell>> GCola<M> {
                 return Err(MetaError::Invalid("levels are not contiguous".into()));
             }
         }
-        let aux = vec![None; levels.len()];
-        let mut cola = GCola {
-            mem,
-            levels,
-            g,
-            p,
-            n,
-            stats: ColaStats::default(),
-            aux,
-            cascade: true,
-            veb: false,
-        };
         // v2: cross-check the persisted run fence keys against the
         // reopened cells, then rebuild the cascade accelerators from
         // them — corrupt cascade metadata is a typed `MetaError`, never
         // a wrong answer.
-        for (l, fence) in fences.iter().enumerate() {
-            let lv = cola.levels[l];
+        let mut runs = Vec::with_capacity(levels.len());
+        for (l, (lv, fence)) in levels.iter().zip(&fences).enumerate() {
+            let mut run = SealedRun::new(lv.run_base(), lv.occ(), None);
             if let Some((first, last)) = *fence {
-                let base = lv.run_base();
-                let (got_first, got_last) = (
-                    cola.mem.get(base).key,
-                    cola.mem.get(base + lv.occ() - 1).key,
-                );
+                let (got_first, got_last) =
+                    (mem.get(run.base).key, mem.get(run.base + run.len - 1).key);
                 if (first, last) != (got_first, got_last) {
                     return Err(MetaError::Invalid(format!(
                         "level {l} fence keys ({first}, {last}) disagree with stored \
                          cells ({got_first}, {got_last})"
                     )));
                 }
-                cola.rebuild_aux(l);
-                let rebuilt = cola.aux[l].as_ref().expect("occupied level just rebuilt");
-                rebuilt
-                    .check()
+                run.rebuild(&mem);
+                run.check()
                     .map_err(|e| MetaError::Invalid(format!("level {l} cascade state: {e}")))?;
             }
+            runs.push(run);
         }
-        Ok(cola)
+        Ok(GCola {
+            mem,
+            levels,
+            g,
+            p,
+            n,
+            stats: ColaStats::default(),
+            runs,
+            cascade: true,
+        })
     }
 
     fn push_level(&mut self) {
@@ -335,6 +299,7 @@ impl<M: Mem<Cell>> GCola<M> {
             (cap, red)
         };
         let off = self.levels.last().map_or(1, |l| l.off + l.slots); // slot 0 spare, as in the paper
+        self.runs.push(SealedRun::new(off + cap + red_cap, 0, None));
         self.levels.push(Level {
             off,
             slots: cap + red_cap,
@@ -343,27 +308,7 @@ impl<M: Mem<Cell>> GCola<M> {
             items: 0,
             reds: 0,
         });
-        self.aux.push(None);
         self.mem.resize(off + cap + red_cap, Cell::default());
-    }
-
-    /// Rebuilds level `l`'s cascade aux by scanning its occupied run
-    /// (used on reopen and when re-enabling the cascade; level rewrites
-    /// build the aux inline instead).
-    fn rebuild_aux(&mut self, l: usize) {
-        let lv = self.levels[l];
-        let occ = lv.occ();
-        if occ == 0 {
-            self.aux[l] = None;
-            return;
-        }
-        let base = lv.run_base();
-        let mut b = AuxBuilder::new(occ);
-        for i in 0..occ {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[l] = Some(b.finish().with_veb(self.veb));
     }
 
     /// Reads level ℓ's occupied run, filtered to real cells.
@@ -439,8 +384,7 @@ impl<M: Mem<Cell>> GCola<M> {
         self.stats.cells_written += occ as u64;
         self.levels[l].items = items.len();
         self.levels[l].reds = lookaheads.len();
-        let veb = self.veb;
-        self.aux[l] = aux_builder.map(|b| b.finish().with_veb(veb));
+        self.runs[l] = SealedRun::new(base, occ, aux_builder.map(AuxBuilder::finish));
     }
 
     fn insert_cell(&mut self, cell: Cell) {
@@ -537,63 +481,29 @@ impl<M: Mem<Cell>> GCola<M> {
         key: u64,
         window: Option<(usize, usize)>,
     ) -> (Option<Cell>, Option<(usize, usize)>) {
-        let lv = self.levels[l];
-        let occ = lv.occ();
-        if occ == 0 {
+        let run = &self.runs[l];
+        if run.len == 0 {
             return (None, None);
         }
-        let base = lv.run_base();
-        let (mut lo, mut hi) = match window {
-            Some((a, b)) => (a.min(occ), b.min(occ)),
-            None => (0, occ),
+        // A cascade skip breaks the pointer chain into the next level,
+        // but every level carries its own ghost sample, so the next
+        // search is still bracketed.
+        let ins = match run.probe(
+            &self.mem,
+            key,
+            window.unwrap_or((0, run.len)),
+            &mut self.stats,
+        ) {
+            Probe::Skipped => return (None, None),
+            Probe::Found(c) => return (Some(c), None),
+            Probe::Miss(ins) => ins,
         };
-        // Cascade fast path: fences and the filter skip the level
-        // outright (0 cell reads); otherwise the ghost sample narrows
-        // the probe, intersected with the lookahead-pointer window.
-        // Skipping breaks the pointer chain into the next level, but
-        // every level carries its own ghost sample, so the next search
-        // is still bracketed.
-        if self.cascade {
-            if let Some(aux) = self.aux.get(l).and_then(Option::as_ref) {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return (None, None);
-                }
-                let (alo, ahi) = aux.window(key);
-                lo = lo.max(alo);
-                hi = hi.min(ahi);
-            }
-        }
-        // Leftmost position in [lo, hi) with key >= target.
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let ins = lo;
-
-        // Scan the equal-key run for the leftmost real cell.
-        let mut i = ins;
-        while i < occ {
-            let c = self.mem.get(base + i);
-            self.stats.cells_scanned += 1;
-            if c.key != key {
-                break;
-            }
-            if c.is_real() {
-                // Hit: the caller stops here, no window needed.
-                return (Some(c), None);
-            }
-            i += 1;
-        }
+        let base = run.base;
 
         // Without lookahead pointers this level gives no guidance; the
         // next level gets a full binary search (as in the basic COLA).
-        if lv.reds == 0 {
+        let reds = self.levels[l].reds;
+        if reds == 0 {
             return (None, None);
         }
 
@@ -620,12 +530,8 @@ impl<M: Mem<Cell>> GCola<M> {
         // half-stride tail after the last sample), so the first cell with
         // key ≥ target in the next level lies within one stride of the
         // left bracket.
-        let occ_next = if l + 1 < self.levels.len() {
-            self.levels[l + 1].occ()
-        } else {
-            0
-        };
-        let stride = occ_next / lv.reds + 3;
+        let occ_next = self.runs.get(l + 1).map_or(0, |r| r.len);
+        let stride = occ_next / reds + 3;
         let next_hi = (next_lo + stride).min(occ_next);
 
         (None, Some((next_lo, next_hi)))
@@ -634,7 +540,7 @@ impl<M: Mem<Cell>> GCola<M> {
     fn get_impl(&mut self, key: u64) -> Option<u64> {
         self.stats.searches += 1;
         let mut window: Option<(usize, usize)> = None;
-        for l in 0..self.levels.len() {
+        for l in 0..self.runs.len() {
             let (found, next) = self.search_level(l, key, window);
             if let Some(c) = found {
                 return c.as_lookup();
@@ -652,7 +558,7 @@ impl<M: Mem<Cell>> GCola<M> {
         let p = self.p;
         self.mem.resize(0, Cell::default());
         self.levels.clear();
-        self.aux.clear();
+        self.runs.clear();
         self.n = 0;
         self.push_level();
         // Re-insert bottom-up into the largest level that fits, then
@@ -724,43 +630,34 @@ impl<M: Mem<Cell>> GCola<M> {
             assert_eq!(reds_seen, lv.reds, "level {l} red count");
         }
         let _ = total_items;
-        // Cascade state: aux present exactly for occupied levels while
-        // the toggle is on, internally consistent, and agreeing with
-        // the stored run's fence keys.
-        assert_eq!(self.aux.len(), self.levels.len(), "aux out of lockstep");
-        for (l, lv) in self.levels.iter().enumerate() {
-            let occ = lv.occ();
-            match &self.aux[l] {
-                Some(aux) => {
-                    assert!(occ > 0, "level {l} empty but has cascade aux");
-                    assert!(self.cascade, "cascade off but level {l} has aux");
-                    aux.check().unwrap_or_else(|e| panic!("level {l} aux: {e}"));
-                    assert_eq!(aux.len, occ, "level {l} aux length");
-                    assert_eq!(
-                        aux.veb.is_some(),
-                        self.veb,
-                        "level {l} vEB mirror out of lockstep with the toggle"
-                    );
-                    if lv.items > 0 {
-                        let base = lv.run_base();
-                        let keys: Vec<u64> = (0..occ)
-                            .map(|i| self.mem.get(base + i))
-                            .filter(|c| c.is_real())
-                            .map(|c| c.key)
-                            .collect();
-                        assert_eq!(
-                            (aux.fence_min, aux.fence_max),
-                            (keys[0], *keys.last().unwrap()),
-                            "level {l} fences disagree with stored real cells"
-                        );
-                    }
-                }
-                None => {
-                    assert!(
-                        occ == 0 || !self.cascade,
-                        "cascade on but occupied level {l} lacks aux"
-                    );
-                }
+        // Cascade state: the run matches the level's occupancy, its aux
+        // is present exactly for occupied levels while the toggle is on,
+        // internally consistent, and agrees with the stored run's fence
+        // keys.
+        assert_eq!(self.runs.len(), self.levels.len(), "runs out of lockstep");
+        for (l, (lv, run)) in self.levels.iter().zip(&self.runs).enumerate() {
+            assert_eq!(
+                (run.base, run.len),
+                (lv.run_base(), lv.occ()),
+                "level {l} run bounds"
+            );
+            assert_eq!(
+                run.aux.is_some(),
+                self.cascade && run.len > 0,
+                "level {l} aux out of lockstep with the cascade toggle"
+            );
+            run.check().unwrap_or_else(|e| panic!("level {l} aux: {e}"));
+            if let Some(aux) = run.aux.as_ref().filter(|_| lv.items > 0) {
+                let keys: Vec<u64> = (0..run.len)
+                    .map(|i| self.mem.get(run.base + i))
+                    .filter(|c| c.is_real())
+                    .map(|c| c.key)
+                    .collect();
+                assert_eq!(
+                    (aux.fence_min, aux.fence_max),
+                    (keys[0], *keys.last().unwrap()),
+                    "level {l} fences disagree with stored real cells"
+                );
             }
         }
     }
@@ -814,14 +711,11 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
         // Every occupied level is a sorted run, newest first; the merge
         // cursor skips the interleaved lookahead cells itself.
-        let runs: Vec<Run> = self
-            .levels
+        let runs = self
+            .runs
             .iter()
-            .filter(|lv| lv.occ() > 0)
-            .map(|lv| Run {
-                base: lv.run_base(),
-                len: lv.occ(),
-            })
+            .filter(|r| r.len > 0)
+            .map(SealedRun::as_run)
             .collect();
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
     }

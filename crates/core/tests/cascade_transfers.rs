@@ -13,7 +13,10 @@
 
 use cosbt_core::entry::Cell;
 use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
-use cosbt_dam::{new_shared_sim, CacheConfig, SharedSim, SimMem};
+use std::cell::Cell as StdCell;
+use std::rc::Rc;
+
+use cosbt_dam::{new_shared_sim, CacheConfig, Mem, PlainMem, SharedSim, SimMem};
 
 const BLOCK: usize = 4096;
 const N: u64 = (1 << 14) - 1;
@@ -102,7 +105,7 @@ fn filtered_misses_read_zero_pages() {
 }
 
 /// Golden numbers for the get phase: 256 cold probes (128 hits + 128
-/// misses) against a 2-COLA and a basic COLA holding `N` keys, with the
+/// misses) against each of the four COLAs holding `N` keys, with the
 /// cascade on and off. The simulator is deterministic, the workload is
 /// seeded, and the counts are byte-exact in debug and release builds.
 #[test]
@@ -133,10 +136,31 @@ fn golden_get_phase_fetch_counts() {
     b.set_cascade(false);
     let basic_off = run(b, &sim);
 
+    let (sim, mem) = sim_and_mem(8);
+    let deamort_on = run(DeamortCola::new(mem), &sim);
+
+    let (sim, mem) = sim_and_mem(8);
+    let mut d = DeamortCola::new(mem);
+    d.set_cascade(false);
+    let deamort_off = run(d, &sim);
+
+    let (sim, mem) = sim_and_mem(8);
+    let deamort_basic_on = run(DeamortBasicCola::new(mem), &sim);
+
+    let (sim, mem) = sim_and_mem(8);
+    let mut d = DeamortBasicCola::new(mem);
+    d.set_cascade(false);
+    let deamort_basic_off = run(d, &sim);
+
     assert!(
-        gcola_on < gcola_off && basic_on < basic_off,
+        gcola_on < gcola_off
+            && basic_on < basic_off
+            && deamort_on < deamort_off
+            && deamort_basic_on < deamort_basic_off,
         "cascade must strictly reduce cold get fetches: \
-         gcola {gcola_on} vs {gcola_off}, basic {basic_on} vs {basic_off}"
+         gcola {gcola_on} vs {gcola_off}, basic {basic_on} vs {basic_off}, \
+         deamort {deamort_on} vs {deamort_off}, \
+         deamort-basic {deamort_basic_on} vs {deamort_basic_off}"
     );
 
     // The golden pins. An intentional read-path change updates these in
@@ -146,9 +170,101 @@ fn golden_get_phase_fetch_counts() {
         (GOLD_GCOLA_ON, GOLD_GCOLA_OFF, GOLD_BASIC_ON, GOLD_BASIC_OFF),
         "get-phase fetch counts moved"
     );
+    assert_eq!(
+        (deamort_on, deamort_off, deamort_basic_on, deamort_basic_off),
+        (
+            GOLD_DEAMORT_ON,
+            GOLD_DEAMORT_OFF,
+            GOLD_DEAMORT_BASIC_ON,
+            GOLD_DEAMORT_BASIC_OFF
+        ),
+        "deamortized get-phase fetch counts moved"
+    );
 }
 
 const GOLD_GCOLA_ON: u64 = 132;
 const GOLD_GCOLA_OFF: u64 = 1668;
 const GOLD_BASIC_ON: u64 = 131;
 const GOLD_BASIC_OFF: u64 = 5870;
+const GOLD_DEAMORT_ON: u64 = 134;
+const GOLD_DEAMORT_OFF: u64 = 7235;
+const GOLD_DEAMORT_BASIC_ON: u64 = 134;
+const GOLD_DEAMORT_BASIC_OFF: u64 = 6149;
+
+/// A [`Mem`] over plain heap cells that counts every element read.
+#[derive(Debug, Default)]
+struct CountingMem {
+    cells: PlainMem<Cell>,
+    gets: Rc<StdCell<u64>>,
+}
+
+impl Mem<Cell> for CountingMem {
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    fn get(&self, i: usize) -> Cell {
+        self.gets.set(self.gets.get() + 1);
+        self.cells.get(i)
+    }
+
+    fn set(&mut self, i: usize, v: Cell) {
+        self.cells.set(i, v);
+    }
+
+    fn resize(&mut self, new_len: usize, fill: Cell) {
+        self.cells.resize(new_len, fill);
+    }
+}
+
+/// `cells_scanned` is the get path's read count: for each of the four
+/// COLAs, cascade on and off, it advances by exactly the number of
+/// `Mem::get` calls made during a batch of hits and misses.
+#[test]
+fn cells_scanned_counts_every_get_read() {
+    fn check<D: Dictionary>(
+        name: &str,
+        mut d: D,
+        gets: &StdCell<u64>,
+        scanned: impl Fn(&D) -> u64,
+    ) {
+        fill(&mut d);
+        let (reads0, scanned0) = (gets.get(), scanned(&d));
+        for i in 0..512u64 {
+            assert_eq!(d.get(key(i * 31 % N)), Some(i * 31 % N), "{name}: hit");
+            assert_eq!(d.get(key(N + i) & !1), None, "{name}: miss");
+            assert_eq!(d.get(key(i * 7 % N) + 1), None, "{name}: near miss");
+        }
+        assert_eq!(
+            scanned(&d) - scanned0,
+            gets.get() - reads0,
+            "{name}: cells_scanned must count every cell the get path reads"
+        );
+    }
+
+    for cascade in [true, false] {
+        let mem = CountingMem::default();
+        let gets = mem.gets.clone();
+        let mut d = BasicCola::new(mem);
+        d.set_cascade(cascade);
+        check("basic", d, &gets, |d| d.stats().cells_scanned);
+
+        let mem = CountingMem::default();
+        let gets = mem.gets.clone();
+        let mut d = GCola::new(mem, 2, 0.125);
+        d.set_cascade(cascade);
+        check("gcola", d, &gets, |d| d.stats().cells_scanned);
+
+        let mem = CountingMem::default();
+        let gets = mem.gets.clone();
+        let mut d = DeamortBasicCola::new(mem);
+        d.set_cascade(cascade);
+        check("deamort-basic", d, &gets, |d| d.stats().cells_scanned);
+
+        let mem = CountingMem::default();
+        let gets = mem.gets.clone();
+        let mut d = DeamortCola::new(mem);
+        d.set_cascade(cascade);
+        check("deamort-gcola", d, &gets, |d| d.stats().cells_scanned);
+    }
+}

@@ -922,66 +922,6 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
     }
 }
 
-/// A [`Mem`] adapter over [`FileMem`] using interior mutability, so the
-/// element-array structures (which read through `&self`) can run unchanged
-/// on top of a file.
-pub struct SharedFileMem<T: Pod, D: RawDev = File> {
-    inner: std::cell::RefCell<FileMem<T, D>>,
-}
-
-impl<T: Pod, D: RawDev> SharedFileMem<T, D> {
-    /// Wraps a [`FileMem`].
-    pub fn new(inner: FileMem<T, D>) -> Self {
-        SharedFileMem {
-            inner: std::cell::RefCell::new(inner),
-        }
-    }
-
-    /// I/O counters of the backing store.
-    pub fn stats(&self) -> IoStats {
-        self.inner.borrow().stats()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.inner.borrow_mut().reset_stats()
-    }
-
-    /// Snapshot-and-reset of the counters in one borrow, so a measurement
-    /// phase boundary cannot lose accesses between the read and the reset.
-    pub fn take_stats(&self) -> IoStats {
-        self.inner.borrow_mut().take_stats()
-    }
-
-    /// Writes dirty pages back with a durability barrier.
-    pub fn sync(&self) -> io::Result<()> {
-        self.inner.borrow_mut().sync()
-    }
-
-    /// Empties the user-space page cache.
-    pub fn drop_cache(&self) -> io::Result<()> {
-        self.inner.borrow_mut().drop_cache()
-    }
-}
-
-impl<T: Pod, D: RawDev> Mem<T> for SharedFileMem<T, D> {
-    fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    fn get(&self, i: usize) -> T {
-        self.inner.borrow_mut().get_mut(i)
-    }
-
-    fn set(&mut self, i: usize, v: T) {
-        self.inner.borrow_mut().set(i, v)
-    }
-
-    fn resize(&mut self, new_len: usize, fill: T) {
-        self.inner.borrow_mut().resize(new_len, fill)
-    }
-}
-
 /// A cloneable, thread-safe handle to a [`FileMem`], so a benchmark can
 /// keep one clone for statistics and cache control while a dictionary owns
 /// the other as its storage backend. Backed by `Arc<Mutex<…>>`, so a
@@ -1237,22 +1177,6 @@ mod tests {
         // 1000 elements * 32 B = 8 pages of 4096; cold reverse scan with a
         // 2-page cache must fetch each at least once.
         assert!(fm.stats().fetches >= 8);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn shared_file_mem_is_a_mem() {
-        let path = tmp("sharedfm");
-        let fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
-        let mut sm = SharedFileMem::new(fm);
-        sm.resize(300, 0);
-        for i in 0..300usize {
-            sm.set(i, i as u64 * 7);
-        }
-        sm.drop_cache().unwrap();
-        for i in 0..300usize {
-            assert_eq!(sm.get(i), i as u64 * 7);
-        }
         std::fs::remove_file(path).ok();
     }
 

@@ -40,7 +40,8 @@ use cosbt_core::{
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
-    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, DEFAULT_PAGE_SIZE,
+    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, Mem, PlainMem,
+    DEFAULT_PAGE_SIZE,
 };
 use cosbt_shuttle::ShuttleTree;
 
@@ -140,8 +141,6 @@ pub struct DbConfig {
     pub pointer_density: f64,
     /// Fractional-cascading read accelerators enabled.
     pub cascade: bool,
-    /// vEB-packed static search layouts with branchless probes enabled.
-    pub veb_layout: bool,
     /// Shard count (1 = unsharded).
     pub shards: usize,
     /// Explicit shard boundaries, if any were configured or recovered.
@@ -186,7 +185,7 @@ impl DbConfig {
     /// the data file's location, which is scratch-dependent.
     pub fn identity(&self) -> String {
         format!(
-            "{}|{}|shards={}|cache={}|parallel={}|cascade={}|density={}|veb={}",
+            "{}|{}|shards={}|cache={}|parallel={}|cascade={}|density={}",
             self.label(),
             self.backend_kind(),
             self.shards,
@@ -197,7 +196,6 @@ impl DbConfig {
             self.parallel_ingest,
             self.cascade,
             self.pointer_density,
-            self.veb_layout,
         )
     }
 }
@@ -547,7 +545,6 @@ pub struct DbBuilder {
     parallel_ingest: bool,
     background_merge: usize,
     cascade: bool,
-    veb_layout: bool,
 }
 
 impl Default for DbBuilder {
@@ -564,7 +561,6 @@ impl Default for DbBuilder {
             parallel_ingest: false,
             background_merge: 0,
             cascade: true,
-            veb_layout: false,
         }
     }
 }
@@ -682,18 +678,6 @@ impl DbBuilder {
     /// cascaded search against the plain per-level binary search.
     pub fn cascade(mut self, on: bool) -> DbBuilder {
         self.cascade = on;
-        self
-    }
-
-    /// Enables or disables vEB-packed static search layouts with
-    /// branchless probes (default off). For COLA structures the sealed
-    /// runs' ghost-sample arrays get a van Emde Boas-ordered DRAM mirror;
-    /// for the B-tree the branch separators are flattened into a vEB
-    /// leaf directory that routes point lookups in one leaf fetch. Like
-    /// [`DbBuilder::cascade`], a runtime knob: it changes the search
-    /// path, never on-disk state, so it can flip freely across reopens.
-    pub fn veb_layout(mut self, on: bool) -> DbBuilder {
-        self.veb_layout = on;
         self
     }
 
@@ -1118,9 +1102,7 @@ impl DbBuilder {
                 let store = ArcFilePages::new(store);
                 let dict: Shard = match self.structure {
                     Structure::BTree => {
-                        let mut t = BTree::from_parts(store.clone(), &meta).map_err(meta_err)?;
-                        t.set_veb_layout(self.veb_layout);
-                        Box::new(t)
+                        Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
                     }
                     _ => Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?),
                 };
@@ -1135,45 +1117,81 @@ impl DbBuilder {
                 self.check_page_size(&path, store.page_size())?;
                 check(&meta)?;
                 let mem = ArcFileMem::new(store);
-                let dict: Shard = match (self.structure, self.deamortized) {
-                    (Structure::BasicCola, false) => {
-                        let mut c = BasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
-                    }
-                    (Structure::BasicCola, true) => {
-                        let mut c =
-                            DeamortBasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
-                    }
-                    (Structure::GCola { g }, false) => {
-                        let mut cola = GCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        if cola.growth() != g {
-                            return Err(OpenError::StructureMismatch {
-                                path,
-                                found: format!("{}-COLA", cola.growth()),
-                                expected: format!("{g}-COLA"),
-                            });
-                        }
-                        cola.set_cascade(self.cascade);
-                        cola.set_veb_layout(self.veb_layout);
-                        Box::new(cola)
-                    }
-                    (Structure::GCola { .. }, true) => {
-                        let mut c =
-                            DeamortCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
-                    }
-                    _ => unreachable!(),
-                };
+                let dict = self.cola_shard(mem.clone(), Some(&meta), &path)?;
                 Ok((dict, StoreHandle::Mem(mem)))
             }
         }
+    }
+
+    /// Builds the configured COLA variant over `mem`: a fresh store when
+    /// `meta` is `None`, else a committed store reopened from the control
+    /// state a previous `save_meta` wrote. Either way the runtime cascade
+    /// knob is then applied. Reopening a g-COLA whose persisted growth
+    /// factor differs from the configured one is a
+    /// [`OpenError::StructureMismatch`] naming `path`.
+    fn cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
+        &self,
+        mem: M,
+        meta: Option<&[u8]>,
+        path: &Path,
+    ) -> Result<Shard, OpenError> {
+        let meta_err = |source: MetaError| OpenError::Meta {
+            path: path.to_path_buf(),
+            source,
+        };
+        let dict: Shard = match (self.structure, self.deamortized) {
+            (Structure::BasicCola, false) => {
+                let mut c = match meta {
+                    Some(m) => BasicCola::from_parts(mem, m).map_err(meta_err)?,
+                    None => BasicCola::new(mem),
+                };
+                c.set_cascade(self.cascade);
+                Box::new(c)
+            }
+            (Structure::BasicCola, true) => {
+                let mut c = match meta {
+                    Some(m) => DeamortBasicCola::from_parts(mem, m).map_err(meta_err)?,
+                    None => DeamortBasicCola::new(mem),
+                };
+                c.set_cascade(self.cascade);
+                Box::new(c)
+            }
+            (Structure::GCola { g }, false) => {
+                let mut c = match meta {
+                    Some(m) => GCola::from_parts(mem, m).map_err(meta_err)?,
+                    None => GCola::new(mem, g, self.pointer_density),
+                };
+                if c.growth() != g {
+                    return Err(OpenError::StructureMismatch {
+                        path: path.to_path_buf(),
+                        found: format!("{}-COLA", c.growth()),
+                        expected: format!("{g}-COLA"),
+                    });
+                }
+                c.set_cascade(self.cascade);
+                Box::new(c)
+            }
+            (Structure::GCola { .. }, true) => {
+                let mut c = match meta {
+                    Some(m) => DeamortCola::from_parts(mem, m).map_err(meta_err)?,
+                    None => DeamortCola::new(mem),
+                };
+                c.set_cascade(self.cascade);
+                Box::new(c)
+            }
+            _ => unreachable!("cola_shard is only called for COLA structures"),
+        };
+        Ok(dict)
+    }
+
+    /// [`DbBuilder::cola_shard`] over a fresh store, which has no
+    /// metadata to reject.
+    fn fresh_cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
+        &self,
+        mem: M,
+    ) -> Result<Shard, BuildError> {
+        self.cola_shard(mem, None, Path::new(""))
+            .map_err(|e| BuildError::Unsupported(e.to_string()))
     }
 
     fn check_page_size(&self, path: &Path, found: usize) -> Result<(), OpenError> {
@@ -1233,35 +1251,10 @@ impl DbBuilder {
         // Each shard gets an even share of the cache budget.
         let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
         match (&self.backend, self.structure) {
-            (Backend::Mem, Structure::BasicCola) if self.deamortized => {
-                let mut c = DeamortBasicCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
+            (Backend::Mem, Structure::BasicCola | Structure::GCola { .. }) => {
+                Ok((self.fresh_cola_shard(PlainMem::new())?, None))
             }
-            (Backend::Mem, Structure::BasicCola) => {
-                let mut c = BasicCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
-            }
-            (Backend::Mem, Structure::GCola { .. }) if self.deamortized => {
-                let mut c = DeamortCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
-            }
-            (Backend::Mem, Structure::GCola { g }) => {
-                let mut c = GCola::new(cosbt_dam::PlainMem::new(), g, self.pointer_density);
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
-            }
-            (Backend::Mem, Structure::BTree) => {
-                let mut t = BTree::new_plain();
-                t.set_veb_layout(self.veb_layout);
-                Ok((Box::new(t), None))
-            }
+            (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
             (Backend::Mem, Structure::Brt) => Ok((Box::new(Brt::new_plain()), None)),
             (Backend::Mem, Structure::Shuttle { c }) => Ok((Box::new(ShuttleTree::new(c)), None)),
             (Backend::File { path: base, direct }, structure) => {
@@ -1280,11 +1273,7 @@ impl DbBuilder {
                             self.meta_slot_bytes,
                         )?);
                         let dict: Shard = match structure {
-                            Structure::BTree => {
-                                let mut t = BTree::new(store.clone());
-                                t.set_veb_layout(self.veb_layout);
-                                Box::new(t)
-                            }
+                            Structure::BTree => Box::new(BTree::new(store.clone())),
                             _ => Box::new(Brt::new(store.clone())),
                         };
                         Ok((dict, Some(StoreHandle::Pages(store))))
@@ -1299,33 +1288,7 @@ impl DbBuilder {
                             32,
                             self.meta_slot_bytes,
                         )?);
-                        let dict: Shard = match (structure, self.deamortized) {
-                            (Structure::BasicCola, false) => {
-                                let mut c = BasicCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
-                            }
-                            (Structure::BasicCola, true) => {
-                                let mut c = DeamortBasicCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
-                            }
-                            (Structure::GCola { g }, false) => {
-                                let mut c = GCola::new(mem.clone(), g, self.pointer_density);
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
-                            }
-                            (Structure::GCola { .. }, true) => {
-                                let mut c = DeamortCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
-                            }
-                            _ => unreachable!(),
-                        };
+                        let dict = self.fresh_cola_shard(mem.clone())?;
                         Ok((dict, Some(StoreHandle::Mem(mem))))
                     }
                 }
@@ -1387,7 +1350,6 @@ impl DbBuilder {
             deamortized: self.deamortized,
             pointer_density: self.pointer_density,
             cascade: self.cascade,
-            veb_layout: self.veb_layout,
             shards: self.shards,
             splitters: self.splitters.clone(),
             parallel_ingest: self.parallel_ingest,
@@ -1419,8 +1381,7 @@ impl DbBuilder {
             .shards(cfg.shards)
             .parallel_ingest(cfg.parallel_ingest)
             .background_merge(cfg.background_merge)
-            .cascade(cfg.cascade)
-            .veb_layout(cfg.veb_layout);
+            .cascade(cfg.cascade);
         if let Some(s) = &cfg.splitters {
             b = b.shard_splitters(s.clone());
         }

@@ -1,5 +1,5 @@
 //! Shuttle-tree integration across crates: its searches, measured over
-//! the vEB/Fibonacci layout through the DAM simulator, must behave like a
+//! the van Emde Boas/Fibonacci layout through the DAM simulator, must behave like a
 //! B-tree's (O(log_{B+1} N) blocks, Lemma 4) — not like a binary tree's —
 //! and the deeper machinery must hold up under adversarial churn.
 
