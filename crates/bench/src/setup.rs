@@ -8,6 +8,7 @@
 //! delete-on-drop data files and the paper's legend labels.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cosbt::{Backend, Db, DbBuilder, IoHandle, Structure};
 use cosbt_dam::IoStats;
@@ -74,8 +75,14 @@ impl OutOfCore {
     /// of `cache_bytes`.
     pub fn create(kind: DictKind, dir: &Path, cache_bytes: usize) -> OutOfCore {
         std::fs::create_dir_all(dir).expect("create bench dir");
+        // One file per store, also between threads of one process (tests
+        // run in parallel): a second store on the same path would
+        // truncate the first one's data under it.
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        // ordering: only uniqueness of the value matters.
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!(
-            "cosbt-{}-{}.dat",
+            "cosbt-{}-{}-{seq}.dat",
             kind.label().to_lowercase().replace(' ', "-"),
             std::process::id()
         ));

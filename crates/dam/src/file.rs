@@ -9,6 +9,17 @@
 //! positioned reads/writes on miss/eviction. Setting the cache budget well
 //! below the data size reproduces the out-of-core regime of Figures 2–4.
 //!
+//! The backend is three pieces:
+//!
+//! * [`FilePages`], the engine: shadow paging, the LRU frame cache,
+//!   commit and recovery. An element store's element count lives here
+//!   too, so every handle to it agrees on the length.
+//! * [`FileStore`], the one cloneable, thread-safe handle to an engine.
+//!   It carries the control surface (counters, reclaim gate, sync,
+//!   commit, epoch, cache drop) and serves raw pages as a [`PageStore`].
+//! * [`FileMem`], a typed element view of the same handle, which serves a
+//!   flat array of `T` as a [`Mem`].
+//!
 //! # Durability: shadow paging + shadow-committed metadata
 //!
 //! Every store file carries the format of [`crate::format`]: a superblock,
@@ -31,10 +42,12 @@
 //! epoch. This is verified exhaustively by the crash-injection suite over
 //! [`crate::dev::CrashDev`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::marker::PhantomData;
 use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::dev::RawDev;
 use crate::format::{
@@ -47,8 +60,6 @@ use crate::page::PageStore;
 use crate::pod::Pod;
 use crate::reclaim::ReclaimGate;
 use crate::stats::{AtomicIoStats, IoStats};
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// File-backed pages with a bounded user-space LRU cache of frames and a
 /// shadow-paged durable format (see the module docs).
@@ -72,6 +83,11 @@ pub struct FilePages<D: RawDev = File> {
     /// committed state; `alloc_page` zeros them before handing them out
     /// so the "fresh pages read as zeros" contract survives recovery.
     suspect_end: u32,
+    /// Element count of an element store (`KIND_ELEM`), committed as the
+    /// first 8 bytes of the caller payload; 0 for a page store.
+    elems: usize,
+    /// Elements per page of an element store; 0 for a page store.
+    per_page: usize,
     cache: LruCache,
     frames: HashMap<u64, Box<[u8]>>,
     dirty: HashSet<u64>,
@@ -114,52 +130,21 @@ impl<D: RawDev> std::fmt::Debug for FilePages<D> {
     }
 }
 
+/// Creates (truncating) the file at `path`, opened read-write.
+fn create_file(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)
+}
+
 impl FilePages<File> {
     /// Creates (truncating) a page store at `path` with room for
     /// `cache_pages` resident frames.
     pub fn create(path: &Path, page_size: usize, cache_pages: usize) -> io::Result<Self> {
-        Self::create_sized(path, page_size, cache_pages, DEFAULT_SLOT_BYTES)
-    }
-
-    /// [`FilePages::create`] with an explicit metadata-slot capacity.
-    /// The slot bounds the committable control state — page table
-    /// (4 B per logical page) plus the caller payload — so it caps the
-    /// store at roughly `slot_bytes / 4` pages; size it for the data the
-    /// store must grow to (the capacity is fixed at creation and
-    /// recorded in the superblock).
-    pub fn create_sized(
-        path: &Path,
-        page_size: usize,
-        cache_pages: usize,
-        slot_bytes: usize,
-    ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Self::create_with_kind(file, page_size, cache_pages, KIND_PAGES, 0, slot_bytes)
-    }
-
-    /// Opens an existing page store at `path`, validating its superblock
-    /// and recovering the last committed metadata epoch; returns the
-    /// store and the caller payload of that epoch. The file is opened
-    /// read-write but **not modified** — a validation failure leaves it
-    /// byte-identical.
-    pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::open_at(path, cache_pages, None)
-    }
-
-    /// [`FilePages::open`] bounded to epochs ≤ `max_epoch` (see
-    /// [`FilePages::open_bounded`]).
-    pub fn open_at(
-        path: &Path,
-        cache_pages: usize,
-        max_epoch: Option<u64>,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Self::open_bounded(file, cache_pages, (KIND_PAGES, 0), max_epoch)
+        Self::create_on(create_file(path)?, page_size, cache_pages)
     }
 }
 
@@ -167,33 +152,33 @@ impl<D: RawDev> FilePages<D> {
     /// Creates a page store on a raw device (the device is assumed
     /// empty/overwritable); writes the superblock immediately.
     pub fn create_on(dev: D, page_size: usize, cache_pages: usize) -> io::Result<Self> {
-        Self::create_with_kind(
-            dev,
-            page_size,
-            cache_pages,
-            KIND_PAGES,
-            0,
-            DEFAULT_SLOT_BYTES,
-        )
+        Self::create_on_sized(dev, page_size, cache_pages, DEFAULT_SLOT_BYTES)
     }
 
-    /// [`FilePages::create_on`] with an explicit metadata-slot capacity
-    /// (see [`FilePages::create_sized`]).
+    /// [`FilePages::create_on`] with an explicit metadata-slot capacity.
+    /// The slot bounds the committable control state — page table
+    /// (4 B per logical page) plus the caller payload — so it caps the
+    /// store at roughly `slot_bytes / 4` pages; size it for the data the
+    /// store must grow to (the capacity is fixed at creation and
+    /// recorded in the superblock).
     pub fn create_on_sized(
         dev: D,
         page_size: usize,
         cache_pages: usize,
         slot_bytes: usize,
     ) -> io::Result<Self> {
-        Self::create_with_kind(dev, page_size, cache_pages, KIND_PAGES, 0, slot_bytes)
+        Self::create_kind(dev, page_size, cache_pages, (KIND_PAGES, 0), slot_bytes)
     }
 
-    pub(crate) fn create_with_kind(
+    /// Creates a store of the given `(kind, elem_bytes)` on a raw device:
+    /// `(KIND_PAGES, 0)` for raw pages, `(KIND_ELEM, stride)` for an
+    /// element array whose elements sit `stride` bytes apart and never
+    /// straddle pages (see [`FileStore::elems`]).
+    pub fn create_kind(
         mut dev: D,
         page_size: usize,
         cache_pages: usize,
-        kind: u32,
-        elem_bytes: u32,
+        (kind, elem_bytes): (u32, u32),
         slot_bytes: usize,
     ) -> io::Result<Self> {
         assert!(page_size > 0);
@@ -201,6 +186,16 @@ impl<D: RawDev> FilePages<D> {
             slot_bytes > crate::format::SLOT_HDR_BYTES,
             "metadata slot must fit its header"
         );
+        let per_page = if kind == KIND_ELEM {
+            let stride = elem_bytes as usize;
+            assert!(
+                stride > 0 && page_size.is_multiple_of(stride),
+                "elements must not straddle pages"
+            );
+            page_size / stride
+        } else {
+            0
+        };
         let sb = Superblock {
             version: FORMAT_VERSION,
             page_size: page_size as u32,
@@ -219,6 +214,8 @@ impl<D: RawDev> FilePages<D> {
             free: Vec::new(),
             epoch: 0,
             suspect_end: 0,
+            elems: 0,
+            per_page,
             cache: LruCache::new(cache_pages.max(1)),
             frames: HashMap::new(),
             dirty: HashSet::new(),
@@ -231,7 +228,8 @@ impl<D: RawDev> FilePages<D> {
 
     /// Opens a store on a raw device and recovers the newest committed
     /// epoch; `expected` is the `(kind, elem_bytes)` pair the caller
-    /// requires. Returns the store and the recovered caller payload.
+    /// requires. Returns the store and the recovered caller payload (for
+    /// an element store, what follows its element count).
     pub fn open_on(
         dev: D,
         cache_pages: usize,
@@ -325,7 +323,31 @@ impl<D: RawDev> FilePages<D> {
             .filter(|(_, &r)| !r)
             .map(|(p, _)| p as u32)
             .collect();
-        let user = payload[table_end..].to_vec();
+        let mut user = &payload[table_end..];
+        // An element store's committed element count is the first 8
+        // bytes of the caller payload.
+        let (mut elems, mut per_page) = (0, 0);
+        if sb.kind == KIND_ELEM {
+            let (page_size, stride) = (sb.page_size as usize, sb.elem_bytes as usize);
+            if stride == 0 || !page_size.is_multiple_of(stride) {
+                return Err(OpenError::Corrupt(format!(
+                    "element stride {stride} does not divide page size {page_size}"
+                )));
+            }
+            let Some((len, rest)) = user.split_first_chunk::<8>() else {
+                return Err(OpenError::Corrupt(
+                    "element-array metadata too short".into(),
+                ));
+            };
+            per_page = page_size / stride;
+            elems = u64::from_le_bytes(*len) as usize;
+            if elems > logical.saturating_mul(per_page) {
+                return Err(OpenError::Corrupt(format!(
+                    "committed length {elems} exceeds the allocated page capacity"
+                )));
+            }
+            user = rest;
+        }
         // Slots past the committed high-water mark may hold stale bytes
         // from synced-but-uncommitted pre-crash writes; remember how far
         // the device extends so alloc_page can zero them on reuse.
@@ -344,6 +366,8 @@ impl<D: RawDev> FilePages<D> {
                 free,
                 epoch,
                 suspect_end,
+                elems,
+                per_page,
                 cache: LruCache::new(cache_pages.max(1)),
                 frames: HashMap::new(),
                 dirty: HashSet::new(),
@@ -352,7 +376,7 @@ impl<D: RawDev> FilePages<D> {
                 gate: None,
                 streams: Vec::new(),
             },
-            user,
+            user.to_vec(),
         ))
     }
 
@@ -374,12 +398,6 @@ impl<D: RawDev> FilePages<D> {
     /// mutator every transfer lands in exactly one phase.
     pub fn take_stats(&self) -> IoStats {
         self.stats.take()
-    }
-
-    /// The shared atomic counter block, for observers that must read
-    /// the counters without acquiring the store's lock.
-    pub fn stats_handle(&self) -> Arc<AtomicIoStats> {
-        self.stats.clone()
     }
 
     /// Installs the reclamation gate consulted before recycling
@@ -540,17 +558,21 @@ impl<D: RawDev> FilePages<D> {
     }
 
     /// Commits the current state durably: syncs the data pages, then
-    /// shadow-writes the page table plus `user` payload (the structure's
-    /// control state) to the inactive metadata slot under the next epoch.
+    /// shadow-writes the page table, an element store's element count,
+    /// and the `user` payload (the structure's control state) to the
+    /// inactive metadata slot under the next epoch.
     /// After a successful return, a crash at any later point — or a
     /// reopen — recovers exactly this state.
     pub fn commit_meta(&mut self, user: &[u8]) -> io::Result<()> {
         self.sync()?;
-        let mut payload = Vec::with_capacity(8 + 4 * self.table.len() + user.len());
+        let mut payload = Vec::with_capacity(16 + 4 * self.table.len() + user.len());
         payload.extend_from_slice(&(self.table.len() as u32).to_le_bytes());
         payload.extend_from_slice(&self.phys_len.to_le_bytes());
         for &p in &self.table {
             payload.extend_from_slice(&p.to_le_bytes());
+        }
+        if self.sb.kind == KIND_ELEM {
+            payload.extend_from_slice(&(self.elems as u64).to_le_bytes());
         }
         payload.extend_from_slice(user);
         let epoch = self.epoch + 1;
@@ -588,6 +610,47 @@ impl<D: RawDev> FilePages<D> {
         self.cache.flush();
         self.frames.clear();
         Ok(())
+    }
+
+    /// Moves the engine behind a [`FileStore`], the shared handle every
+    /// user of the store clones.
+    pub fn into_shared(self) -> FileStore<D> {
+        FileStore {
+            stats: self.stats.clone(),
+            inner: Arc::new(Mutex::new(self)),
+            view: PhantomData,
+        }
+    }
+
+    /// Page and byte offset of element `i` of an element store.
+    #[inline]
+    fn elem_at(&self, i: usize) -> (u32, usize) {
+        assert!(i < self.elems);
+        let page = (i / self.per_page) as u32;
+        (page, (i % self.per_page) * self.sb.elem_bytes as usize)
+    }
+
+    fn read_elem<T: Pod>(&mut self, i: usize) -> T {
+        let (page, off) = self.elem_at(i);
+        self.with_page(page, |pg| T::read_from(&pg[off..off + T::BYTES]))
+    }
+
+    fn write_elem<T: Pod>(&mut self, i: usize, v: T) {
+        let (page, off) = self.elem_at(i);
+        self.with_page_mut(page, |pg| v.write_to(&mut pg[off..off + T::BYTES]));
+    }
+
+    /// Sets the element count, allocating the pages it needs (shrinking
+    /// frees nothing) and writing `fill` to every new element.
+    fn resize_elems<T: Pod>(&mut self, new_len: usize, fill: T) {
+        let pages_needed = new_len.div_ceil(self.per_page) as u32;
+        while self.num_pages() < pages_needed {
+            self.alloc_page();
+        }
+        let old_len = std::mem::replace(&mut self.elems, new_len);
+        for i in old_len..new_len {
+            self.write_elem(i, fill);
+        }
     }
 }
 
@@ -644,322 +707,60 @@ impl<D: RawDev> PageStore for FilePages<D> {
     }
 }
 
-/// A flat element array over [`FilePages`]: logical element `i` lives at
-/// byte `i * elem_bytes` of the logical page space, elements never
-/// straddle pages.
-pub struct FileMem<T: Pod, D: RawDev = File> {
-    pages: FilePages<D>,
-    len: usize,
-    elem_bytes: usize,
-    per_page: usize,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: Pod, D: RawDev> std::fmt::Debug for FileMem<T, D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileMem")
-            .field("len", &self.len)
-            .field("elem_bytes", &self.elem_bytes)
-            .finish()
-    }
-}
-
-impl<T: Pod> FileMem<T, File> {
-    /// Creates a file-backed element array. `elem_bytes` must be at least
-    /// `T::BYTES` (pad to match a modeled layout, e.g. the paper's 32-byte
-    /// elements) and must divide `page_size`.
-    pub fn create(
-        path: &Path,
-        page_size: usize,
-        cache_pages: usize,
-        elem_bytes: usize,
-    ) -> io::Result<Self> {
-        Self::create_sized(path, page_size, cache_pages, elem_bytes, DEFAULT_SLOT_BYTES)
-    }
-
-    /// [`FileMem::create`] with an explicit metadata-slot capacity (see
-    /// [`FilePages::create_sized`]): the slot caps the array at roughly
-    /// `slot_bytes / 4` pages, i.e. `slot_bytes / 4 * (page_size /
-    /// elem_bytes)` elements.
-    pub fn create_sized(
-        path: &Path,
-        page_size: usize,
-        cache_pages: usize,
-        elem_bytes: usize,
-        slot_bytes: usize,
-    ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Self::create_on_sized(file, page_size, cache_pages, elem_bytes, slot_bytes)
-    }
-
-    /// Opens an existing element array at `path` (see
-    /// [`FilePages::open`]); returns the array and the recovered caller
-    /// payload.
-    pub fn open(
-        path: &Path,
-        cache_pages: usize,
-        elem_bytes: usize,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::open_at(path, cache_pages, elem_bytes, None)
-    }
-
-    /// [`FileMem::open`] bounded to epochs ≤ `max_epoch` (see
-    /// [`FilePages::open_bounded`]).
-    pub fn open_at(
-        path: &Path,
-        cache_pages: usize,
-        elem_bytes: usize,
-        max_epoch: Option<u64>,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Self::open_bounded(file, cache_pages, elem_bytes, max_epoch)
-    }
-}
-
-impl<T: Pod, D: RawDev> FileMem<T, D> {
-    /// Creates an element array on a raw device (see
-    /// [`FilePages::create_on`]).
-    pub fn create_on(
-        dev: D,
-        page_size: usize,
-        cache_pages: usize,
-        elem_bytes: usize,
-    ) -> io::Result<Self> {
-        Self::create_on_sized(dev, page_size, cache_pages, elem_bytes, DEFAULT_SLOT_BYTES)
-    }
-
-    /// [`FileMem::create_on`] with an explicit metadata-slot capacity
-    /// (see [`FileMem::create_sized`]).
-    pub fn create_on_sized(
-        dev: D,
-        page_size: usize,
-        cache_pages: usize,
-        elem_bytes: usize,
-        slot_bytes: usize,
-    ) -> io::Result<Self> {
-        assert!(elem_bytes >= T::BYTES, "elem_bytes must fit the element");
-        assert!(
-            page_size.is_multiple_of(elem_bytes),
-            "elements must not straddle pages"
-        );
-        Ok(FileMem {
-            pages: FilePages::create_with_kind(
-                dev,
-                page_size,
-                cache_pages,
-                KIND_ELEM,
-                elem_bytes as u32,
-                slot_bytes,
-            )?,
-            len: 0,
-            elem_bytes,
-            per_page: page_size / elem_bytes,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Opens an element array on a raw device, recovering the committed
-    /// length and the caller payload.
-    pub fn open_on(
-        dev: D,
-        cache_pages: usize,
-        elem_bytes: usize,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::open_bounded(dev, cache_pages, elem_bytes, None)
-    }
-
-    /// [`FileMem::open_on`] bounded to epochs ≤ `max_epoch` (see
-    /// [`FilePages::open_bounded`]).
-    pub fn open_bounded(
-        dev: D,
-        cache_pages: usize,
-        elem_bytes: usize,
-        max_epoch: Option<u64>,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        assert!(elem_bytes >= T::BYTES, "elem_bytes must fit the element");
-        let (pages, payload) =
-            FilePages::open_bounded(dev, cache_pages, (KIND_ELEM, elem_bytes as u32), max_epoch)?;
-        let page_size = pages.page_size();
-        if !page_size.is_multiple_of(elem_bytes) {
-            return Err(OpenError::Corrupt(format!(
-                "element stride {elem_bytes} does not divide page size {page_size}"
-            )));
-        }
-        if payload.len() < 8 {
-            return Err(OpenError::Corrupt(
-                "element-array metadata too short".into(),
-            ));
-        }
-        let len = u64::from_le_bytes(payload[0..8].try_into().unwrap()) as usize;
-        let per_page = page_size / elem_bytes;
-        if len > pages.num_pages() as usize * per_page {
-            return Err(OpenError::Corrupt(format!(
-                "committed length {len} exceeds the allocated page capacity"
-            )));
-        }
-        Ok((
-            FileMem {
-                pages,
-                len,
-                elem_bytes,
-                per_page,
-                _marker: std::marker::PhantomData,
-            },
-            payload[8..].to_vec(),
-        ))
-    }
-
-    /// Real-I/O counters of the backing page cache.
-    pub fn stats(&self) -> IoStats {
-        self.pages.stats()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.pages.reset_stats()
-    }
-
-    /// Snapshot-and-reset of the counters (see [`FilePages::take_stats`]).
-    pub fn take_stats(&self) -> IoStats {
-        self.pages.take_stats()
-    }
-
-    /// The shared atomic counter block (see [`FilePages::stats_handle`]).
-    pub fn stats_handle(&self) -> Arc<AtomicIoStats> {
-        self.pages.stats_handle()
-    }
-
-    /// Installs a reclamation gate on the backing page store (see
-    /// [`FilePages::set_reclaim_gate`]).
-    pub fn set_reclaim_gate(&mut self, gate: Arc<dyn ReclaimGate>) {
-        self.pages.set_reclaim_gate(gate)
-    }
-
-    /// The last committed metadata epoch (0 = never committed).
-    pub fn epoch(&self) -> u64 {
-        self.pages.epoch()
-    }
-
-    /// Page size of the backing store.
-    pub fn page_size(&self) -> usize {
-        use crate::page::PageStore as _;
-        self.pages.page_size()
-    }
-
-    /// Writes dirty pages back (shadow slots) with a durability barrier;
-    /// no metadata commit.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.pages.sync()
-    }
-
-    /// Commits the array durably: data pages, the committed length, and
-    /// the caller's `user` payload (see [`FilePages::commit_meta`]).
-    pub fn commit_meta(&mut self, user: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(8 + user.len());
-        payload.extend_from_slice(&(self.len as u64).to_le_bytes());
-        payload.extend_from_slice(user);
-        self.pages.commit_meta(&payload)
-    }
-
-    /// Empties the user-space cache (writes dirty pages back first).
-    pub fn drop_cache(&mut self) -> io::Result<()> {
-        self.pages.drop_cache()
-    }
-
-    #[inline]
-    fn locate(&self, i: usize) -> (u32, usize) {
-        let page = (i / self.per_page) as u32;
-        let off = (i % self.per_page) * self.elem_bytes;
-        (page, off)
-    }
-}
-
-impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn get(&self, _i: usize) -> T {
-        unreachable!("FileMem requires &mut access; use get_mut-style wrappers")
-    }
-
-    fn set(&mut self, i: usize, v: T) {
-        assert!(i < self.len);
-        let (page, off) = self.locate(i);
-        let eb = T::BYTES;
-        self.pages
-            .with_page_mut(page, |pg| v.write_to(&mut pg[off..off + eb]));
-    }
-
-    fn resize(&mut self, new_len: usize, fill: T) {
-        let old_len = self.len;
-        let pages_needed = new_len.div_ceil(self.per_page) as u32;
-        while self.pages.num_pages() < pages_needed {
-            self.pages.alloc_page();
-        }
-        self.len = new_len;
-        for i in old_len..new_len {
-            self.set(i, fill);
-        }
-    }
-}
-
-impl<T: Pod, D: RawDev> FileMem<T, D> {
-    /// Reads element `i` (requires `&mut self` because it may fault a page
-    /// into the cache). This is the accessor the structures actually use;
-    /// the `Mem::get` path is only reachable through `&self`, which a file
-    /// store cannot serve.
-    pub fn get_mut(&mut self, i: usize) -> T {
-        assert!(i < self.len);
-        let (page, off) = self.locate(i);
-        self.pages
-            .with_page(page, |pg| T::read_from(&pg[off..off + T::BYTES]))
-    }
-}
-
-/// A cloneable, thread-safe handle to a [`FileMem`], so a benchmark can
-/// keep one clone for statistics and cache control while a dictionary owns
-/// the other as its storage backend. Backed by `Arc<Mutex<…>>`, so a
-/// file-backed dictionary is `Send` and can serve as one shard of a
-/// sharded database whose sub-batches are applied on worker threads.
-pub struct ArcFileMem<T: Pod, D: RawDev = File> {
-    inner: std::sync::Arc<std::sync::Mutex<FileMem<T, D>>>,
+/// The one shared handle to a [`FilePages`] engine: cloneable and
+/// thread-safe (`Arc<Mutex<…>>`), so a structure can own one clone as its
+/// storage while a database or benchmark keeps another for counters,
+/// commits and cache control, and a file-backed structure is `Send` and
+/// can serve as a shard whose batches are applied on worker threads.
+///
+/// The view parameter `V` selects what the handle serves: [`PageView`]
+/// (the default) is raw pages through [`PageStore`]; [`ElemView`] is a
+/// typed element array through [`Mem`] (see [`FileMem`]). Every view
+/// shares the control methods below, and clones of any view see one
+/// engine.
+pub struct FileStore<D: RawDev = File, V = PageView> {
+    inner: Arc<Mutex<FilePages<D>>>,
     /// Cached counter block: stats observers bypass `inner`'s lock, so
     /// a probe thread never waits on (or deadlocks with) a writer
     /// holding the store through a long merge.
     stats: Arc<AtomicIoStats>,
+    view: PhantomData<fn() -> V>,
 }
 
-impl<T: Pod, D: RawDev> Clone for ArcFileMem<T, D> {
+/// [`FileStore`] view: raw byte pages through [`PageStore`].
+#[derive(Debug)]
+pub enum PageView {}
+
+/// [`FileStore`] view: a flat array of `T` through [`Mem`]; element `i`
+/// lives at byte `i * elem_bytes` of the logical page space, and elements
+/// never straddle pages.
+#[derive(Debug)]
+pub struct ElemView<T>(PhantomData<fn() -> T>);
+
+/// A typed element view of a shared file store.
+pub type FileMem<T, D = File> = FileStore<D, ElemView<T>>;
+
+/// [`FileMem`] under the name the benchmark stack (`perfbench`) imports.
+pub type ArcFileMem<T, D = File> = FileMem<T, D>;
+
+impl<D: RawDev, V> Clone for FileStore<D, V> {
     fn clone(&self) -> Self {
-        ArcFileMem {
+        FileStore {
             inner: self.inner.clone(),
             stats: self.stats.clone(),
+            view: PhantomData,
         }
     }
 }
 
-impl<T: Pod, D: RawDev> ArcFileMem<T, D> {
-    /// Wraps a [`FileMem`].
-    pub fn new(inner: FileMem<T, D>) -> Self {
-        let stats = inner.stats_handle();
-        ArcFileMem {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(inner)),
-            stats,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FileMem<T, D>> {
+impl<D: RawDev, V> FileStore<D, V> {
+    fn lock(&self) -> MutexGuard<'_, FilePages<D>> {
         self.inner.lock().expect("file store mutex poisoned")
     }
 
-    /// I/O counters of the backing store. Lock-free: reads the shared
-    /// atomic counters without touching the store's mutex.
+    /// Real-I/O counters (fetches = device reads, writebacks = device
+    /// writes). Lock-free: reads the shared atomic counters without
+    /// touching the store's mutex.
     pub fn stats(&self) -> IoStats {
         self.stats.snapshot()
     }
@@ -969,138 +770,72 @@ impl<T: Pod, D: RawDev> ArcFileMem<T, D> {
         self.stats.reset()
     }
 
-    /// Snapshot-and-reset of the counters. Each counter is atomically
-    /// swapped to zero, so a phase boundary cannot lose or double-count
-    /// concurrent accesses (the per-phase idiom of the scenario
-    /// harness) — and, being lock-free, it cannot be starved by a
-    /// writer holding the store through a long merge.
+    /// Returns the counters accumulated so far and resets them: one call
+    /// closes a measurement phase and opens the next (cache residency is
+    /// untouched, so a warm cache stays warm across phases). Each counter
+    /// is atomically swapped to zero, so a phase boundary cannot lose or
+    /// double-count concurrent accesses — and, being lock-free, it cannot
+    /// be starved by a writer holding the store through a long merge.
     pub fn take_stats(&self) -> IoStats {
         self.stats.take()
     }
 
-    /// Installs a reclamation gate on the backing store (see
-    /// [`FilePages::set_reclaim_gate`]).
+    /// The shared atomic counter block, for observers that must read the
+    /// counters without holding the store itself.
+    pub fn stats_handle(&self) -> Arc<AtomicIoStats> {
+        self.stats.clone()
+    }
+
+    /// Installs a reclamation gate (see [`FilePages::set_reclaim_gate`]).
     pub fn set_reclaim_gate(&self, gate: Arc<dyn ReclaimGate>) {
         self.lock().set_reclaim_gate(gate)
     }
 
-    /// Writes dirty pages back with a durability barrier.
-    pub fn sync(&self) -> io::Result<()> {
-        self.lock().sync()
-    }
-
-    /// Commits the array's state plus the caller's payload durably (see
-    /// [`FileMem::commit_meta`]).
-    pub fn commit_meta(&self, user: &[u8]) -> io::Result<()> {
-        self.lock().commit_meta(user)
-    }
-
-    /// The last committed metadata epoch.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch()
-    }
-
-    /// Empties the user-space page cache.
-    pub fn drop_cache(&self) -> io::Result<()> {
-        self.lock().drop_cache()
-    }
-}
-
-impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
-    fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    fn get(&self, i: usize) -> T {
-        self.lock().get_mut(i)
-    }
-
-    fn set(&mut self, i: usize, v: T) {
-        self.lock().set(i, v)
-    }
-
-    fn resize(&mut self, new_len: usize, fill: T) {
-        self.lock().resize(new_len, fill)
-    }
-}
-
-/// A cloneable, thread-safe handle to [`FilePages`] (see [`ArcFileMem`]).
-pub struct ArcFilePages<D: RawDev = File> {
-    inner: std::sync::Arc<std::sync::Mutex<FilePages<D>>>,
-    /// Cached counter block (see [`ArcFileMem`]): stats observers
-    /// bypass `inner`'s lock.
-    stats: Arc<AtomicIoStats>,
-}
-
-impl<D: RawDev> Clone for ArcFilePages<D> {
-    fn clone(&self) -> Self {
-        ArcFilePages {
-            inner: self.inner.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-}
-
-impl<D: RawDev> ArcFilePages<D> {
-    /// Wraps a [`FilePages`].
-    pub fn new(inner: FilePages<D>) -> Self {
-        let stats = inner.stats_handle();
-        ArcFilePages {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(inner)),
-            stats,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FilePages<D>> {
-        self.inner.lock().expect("file store mutex poisoned")
-    }
-
-    /// I/O counters of the backing store (lock-free, see
-    /// [`ArcFileMem::stats`]).
-    pub fn stats(&self) -> IoStats {
-        self.stats.snapshot()
-    }
-
-    /// Resets the I/O counters (lock-free).
-    pub fn reset_stats(&self) {
-        self.stats.reset()
-    }
-
-    /// Snapshot-and-reset of the counters, atomic per counter
-    /// (see [`ArcFileMem::take_stats`]).
-    pub fn take_stats(&self) -> IoStats {
-        self.stats.take()
-    }
-
-    /// Installs a reclamation gate on the backing store (see
-    /// [`FilePages::set_reclaim_gate`]).
-    pub fn set_reclaim_gate(&self, gate: Arc<dyn ReclaimGate>) {
-        self.lock().set_reclaim_gate(gate)
-    }
-
-    /// Writes dirty pages back with a durability barrier.
+    /// Writes dirty pages back with a durability barrier; no metadata
+    /// commit (see [`FilePages::sync`]).
     pub fn sync(&self) -> io::Result<()> {
         self.lock().sync()
     }
 
     /// Commits the store's state plus the caller's payload durably (see
-    /// [`FilePages::commit_meta`]).
+    /// [`FilePages::commit_meta`]). Every view writes the same bytes.
     pub fn commit_meta(&self, user: &[u8]) -> io::Result<()> {
         self.lock().commit_meta(user)
     }
 
-    /// The last committed metadata epoch.
+    /// The last committed metadata epoch (0 = never committed).
     pub fn epoch(&self) -> u64 {
         self.lock().epoch()
     }
 
-    /// Empties the user-space page cache.
+    /// Empties the user-space page cache (writes dirty pages back first).
     pub fn drop_cache(&self) -> io::Result<()> {
         self.lock().drop_cache()
     }
 }
 
-impl<D: RawDev> crate::page::PageStore for ArcFilePages<D> {
+impl<D: RawDev> FileStore<D> {
+    /// The element view of this store, as an array of `T`.
+    ///
+    /// # Panics
+    ///
+    /// If the store is not an element store or its stride cannot hold a
+    /// `T`.
+    pub fn elems<T: Pod>(&self) -> FileMem<T, D> {
+        let sb = self.lock().sb;
+        assert!(
+            sb.kind == KIND_ELEM && sb.elem_bytes as usize >= T::BYTES,
+            "not an element store whose elem_bytes fit the element"
+        );
+        FileStore {
+            inner: self.inner.clone(),
+            stats: self.stats.clone(),
+            view: PhantomData,
+        }
+    }
+}
+
+impl<D: RawDev> PageStore for FileStore<D> {
     fn page_size(&self) -> usize {
         self.lock().page_size()
     }
@@ -1119,6 +854,88 @@ impl<D: RawDev> crate::page::PageStore for ArcFilePages<D> {
 
     fn with_page_mut<R>(&mut self, id: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
         self.lock().with_page_mut(id, f)
+    }
+}
+
+impl<T: Pod> FileStore<File, ElemView<T>> {
+    /// Creates (truncating) an element array at `path`. `elem_bytes`
+    /// must be at least `T::BYTES` (pad to match a modeled layout, e.g.
+    /// the paper's 32-byte elements) and must divide `page_size`.
+    pub fn create(
+        path: &Path,
+        page_size: usize,
+        cache_pages: usize,
+        elem_bytes: usize,
+    ) -> io::Result<Self> {
+        Self::create_on(create_file(path)?, page_size, cache_pages, elem_bytes)
+    }
+}
+
+impl<T: Pod, D: RawDev> FileStore<D, ElemView<T>> {
+    /// Returns `mem` unchanged. An element store is shared from birth;
+    /// this keeps the `ArcFileMem::new(FileMem::create_on_sized(..)?)`
+    /// spelling the benchmark stack (`perfbench`) uses compiling.
+    pub fn new(mem: Self) -> Self {
+        mem
+    }
+
+    /// Creates an element array on a raw device (see
+    /// [`FileMem::create`]).
+    pub fn create_on(
+        dev: D,
+        page_size: usize,
+        cache_pages: usize,
+        elem_bytes: usize,
+    ) -> io::Result<Self> {
+        Self::create_on_sized(dev, page_size, cache_pages, elem_bytes, DEFAULT_SLOT_BYTES)
+    }
+
+    /// [`FileMem::create_on`] with an explicit metadata-slot capacity
+    /// (see [`FilePages::create_on_sized`]): the slot caps the array at
+    /// roughly `slot_bytes / 4` pages, i.e. `slot_bytes / 4 * (page_size
+    /// / elem_bytes)` elements.
+    pub fn create_on_sized(
+        dev: D,
+        page_size: usize,
+        cache_pages: usize,
+        elem_bytes: usize,
+        slot_bytes: usize,
+    ) -> io::Result<Self> {
+        let kind = (KIND_ELEM, elem_bytes as u32);
+        Ok(
+            FilePages::create_kind(dev, page_size, cache_pages, kind, slot_bytes)?
+                .into_shared()
+                .elems(),
+        )
+    }
+
+    /// Opens an element array on a raw device, recovering the committed
+    /// length and the caller payload (see [`FilePages::open_on`]).
+    pub fn open_on(
+        dev: D,
+        cache_pages: usize,
+        elem_bytes: usize,
+    ) -> Result<(Self, Vec<u8>), OpenError> {
+        let (pages, user) = FilePages::open_on(dev, cache_pages, (KIND_ELEM, elem_bytes as u32))?;
+        Ok((pages.into_shared().elems(), user))
+    }
+}
+
+impl<T: Pod, D: RawDev> Mem<T> for FileStore<D, ElemView<T>> {
+    fn len(&self) -> usize {
+        self.lock().elems
+    }
+
+    fn get(&self, i: usize) -> T {
+        self.lock().read_elem(i)
+    }
+
+    fn set(&mut self, i: usize, v: T) {
+        self.lock().write_elem(i, v)
+    }
+
+    fn resize(&mut self, new_len: usize, fill: T) {
+        self.lock().resize_elems(new_len, fill)
     }
 }
 
@@ -1172,7 +989,7 @@ mod tests {
         }
         fm.drop_cache().unwrap();
         for i in (0..1000usize).rev() {
-            assert_eq!(fm.get_mut(i), (i as u64, (i * 3) as u64));
+            assert_eq!(fm.get(i), (i as u64, (i * 3) as u64));
         }
         // 1000 elements * 32 B = 8 pages of 4096; cold reverse scan with a
         // 2-page cache must fetch each at least once.
@@ -1182,34 +999,45 @@ mod tests {
 
     #[test]
     fn arc_handles_share_state() {
-        let path = tmp("arcmem");
-        let fm: FileMem<u64> = FileMem::create(&path, 512, 4, 8).unwrap();
-        let mut a = ArcFileMem::new(fm);
+        // A page handle, as a `Db` holds one per shard, and two clones of
+        // its element view, as the structure over it holds.
+        let dev = CrashDev::new();
+        let store = FilePages::create_kind(dev.clone(), 512, 4, (KIND_ELEM, 8), DEFAULT_SLOT_BYTES)
+            .unwrap()
+            .into_shared();
+        let mut a: FileMem<u64, CrashDev> = store.elems();
         let b = a.clone();
         a.resize(100, 0);
         a.set(50, 1234);
+        // Every clone agrees on the element count, and reads through it.
+        assert_eq!(b.len(), 100);
+        assert_eq!(b.get(50), 1234);
         b.drop_cache().unwrap();
         assert_eq!(a.get(50), 1234);
         assert!(b.stats().fetches > 0);
-        std::fs::remove_file(path).ok();
+        assert_eq!(store.stats(), b.stats(), "one counter block");
+        // A commit through the page handle records the element count.
+        store.commit_meta(b"via pages").unwrap();
+        let (re, user) =
+            FileMem::<u64, CrashDev>::open_on(CrashDev::from_image(dev.snapshot()), 4, 8).unwrap();
+        assert_eq!(user, b"via pages");
+        assert_eq!(re.len(), 100);
+        assert_eq!(re.get(50), 1234);
 
-        let path = tmp("arcpages");
-        let fp = FilePages::create(&path, 256, 2).unwrap();
-        let mut p = ArcFilePages::new(fp);
+        let mut p = FilePages::create_on(CrashDev::new(), 256, 2)
+            .unwrap()
+            .into_shared();
         let q = p.clone();
-        use crate::page::PageStore;
         let id = p.alloc_page();
         p.with_page_mut(id, |pg| pg[0] = 7);
         q.drop_cache().unwrap();
         assert_eq!(p.with_page(id, |pg| pg[0]), 7);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn take_stats_splits_phases_without_losing_counts() {
         let path = tmp("phases");
-        let fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
-        let mut m = ArcFileMem::new(fm);
+        let mut m: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
         m.resize(500, 0);
         for i in 0..500usize {
             m.set(i, i as u64);
@@ -1237,10 +1065,10 @@ mod tests {
 
     #[test]
     fn arc_handles_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<ArcFileMem<u64>>();
-        assert_send::<ArcFilePages>();
-        assert_send::<ArcFileMem<u64, CrashDev>>();
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<FileMem<u64>>();
+        assert_send_sync::<FileStore>();
+        assert_send_sync::<FileMem<u64, CrashDev>>();
     }
 
     #[test]
@@ -1254,17 +1082,17 @@ mod tests {
 
     #[test]
     fn commit_and_reopen_recovers_pages_and_payload() {
-        let path = tmp("reopen-pages");
-        {
-            let mut fp = FilePages::create(&path, 128, 2).unwrap();
-            for i in 0..5u32 {
-                let id = fp.alloc_page();
-                fp.with_page_mut(id, |pg| pg[0] = i as u8 + 10);
-            }
-            fp.commit_meta(b"root=3").unwrap();
-            assert_eq!(fp.epoch(), 1);
+        let dev = CrashDev::new();
+        let mut fp = FilePages::create_on(dev.clone(), 128, 2).unwrap();
+        for i in 0..5u32 {
+            let id = fp.alloc_page();
+            fp.with_page_mut(id, |pg| pg[0] = i as u8 + 10);
         }
-        let (mut fp, payload) = FilePages::open(&path, 2).unwrap();
+        fp.commit_meta(b"root=3").unwrap();
+        assert_eq!(fp.epoch(), 1);
+        drop(fp);
+        let dev = CrashDev::from_image(dev.snapshot());
+        let (mut fp, payload) = FilePages::open_on(dev.clone(), 2, (KIND_PAGES, 0)).unwrap();
         assert_eq!(payload, b"root=3");
         assert_eq!(fp.num_pages(), 5);
         assert_eq!(fp.epoch(), 1);
@@ -1275,31 +1103,30 @@ mod tests {
         fp.with_page_mut(0, |pg| pg[0] = 99);
         fp.commit_meta(b"root=7").unwrap();
         drop(fp);
-        let (mut fp, payload) = FilePages::open(&path, 2).unwrap();
+        let image = CrashDev::from_image(dev.snapshot());
+        let (mut fp, payload) = FilePages::open_on(image, 2, (KIND_PAGES, 0)).unwrap();
         assert_eq!(payload, b"root=7");
         assert_eq!(fp.epoch(), 2);
         assert_eq!(fp.with_page(0, |pg| pg[0]), 99);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn file_mem_commit_restores_len() {
-        let path = tmp("reopen-mem");
-        {
-            let mut fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
-            fm.resize(100, 0);
-            for i in 0..100usize {
-                fm.set(i, i as u64 * 3);
-            }
-            fm.commit_meta(b"cola").unwrap();
+        let dev = CrashDev::new();
+        let mut fm: FileMem<u64, CrashDev> = FileMem::create_on(dev.clone(), 512, 2, 8).unwrap();
+        fm.resize(100, 0);
+        for i in 0..100usize {
+            fm.set(i, i as u64 * 3);
         }
-        let (mut fm, payload) = FileMem::<u64>::open(&path, 2, 8).unwrap();
+        fm.commit_meta(b"cola").unwrap();
+        drop(fm);
+        let (fm, payload) =
+            FileMem::<u64, CrashDev>::open_on(CrashDev::from_image(dev.snapshot()), 2, 8).unwrap();
         assert_eq!(payload, b"cola");
         assert_eq!(fm.len(), 100);
         for i in 0..100usize {
-            assert_eq!(fm.get_mut(i), i as u64 * 3);
+            assert_eq!(fm.get(i), i as u64 * 3);
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1333,7 +1160,7 @@ mod tests {
         ));
         // Commit, then misread the store's identity in every way.
         let dev = CrashDev::new();
-        let mut fm: FileMem<u64, CrashDev> = FileMem::create_on(dev.clone(), 512, 2, 8).unwrap();
+        let fm: FileMem<u64, CrashDev> = FileMem::create_on(dev.clone(), 512, 2, 8).unwrap();
         fm.commit_meta(b"").unwrap();
         drop(fm);
         // Wrong stride.

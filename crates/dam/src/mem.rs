@@ -182,9 +182,6 @@ impl<T: Copy> Mem<T> for SimMem<T> {
     }
 }
 
-/// A file-backed flat element array; see [`crate::file`].
-pub use crate::file::FileMem as FileElemArray;
-
 /// Convenience: reads `mem[lo..hi]` into a `Vec` (charging transfers).
 pub fn read_range<T: Copy, M: Mem<T>>(mem: &M, lo: usize, hi: usize) -> Vec<T> {
     (lo..hi).map(|i| mem.get(i)).collect()

@@ -8,7 +8,7 @@
 //! recovered store equals one of the committed snapshots bit-for-bit.
 
 use cosbt_dam::dev::CrashDev;
-use cosbt_dam::format::{KIND_PAGES, SLOT_HDR_BYTES};
+use cosbt_dam::format::{fnv1a, KIND_PAGES, SLOT_HDR_BYTES};
 use cosbt_dam::{DirectFile, FileMem, FilePages, Mem, OpenError, PageStore, RawDev, DIRECT_ALIGN};
 use cosbt_testkit::Rng;
 
@@ -222,17 +222,17 @@ fn file_mem_crash_recovery_round_trips() {
             Err(OpenError::NeverCommitted) => {}
             Err(OpenError::BadMagic) if cut < SUPERBLOCK_PROLOGUE => {}
             Err(e) => panic!("cut {cut}: {e}"),
-            Ok((mut fm, payload)) => match payload.as_slice() {
+            Ok((fm, payload)) => match payload.as_slice() {
                 b"len40" => {
                     assert_eq!(fm.len(), 40, "cut {cut}");
                     for i in 0..40 {
-                        assert_eq!(fm.get_mut(i), i as u64 + 100, "cut {cut} elem {i}");
+                        assert_eq!(fm.get(i), i as u64 + 100, "cut {cut} elem {i}");
                     }
                 }
                 b"len64" => {
                     assert_eq!(fm.len(), 64, "cut {cut}");
                     for i in 0..64 {
-                        assert_eq!(fm.get_mut(i), i as u64 + 500, "cut {cut} elem {i}");
+                        assert_eq!(fm.get(i), i as u64 + 500, "cut {cut} elem {i}");
                     }
                 }
                 other => panic!("cut {cut}: payload mixture {other:?}"),
@@ -430,4 +430,52 @@ fn slot_capacity_bounds_commits_and_is_configurable() {
         FilePages::open_on(CrashDev::from_image(dev.snapshot()), CACHE, (KIND_PAGES, 0)).unwrap();
     assert_eq!(payload, b"big");
     assert_eq!(fp.num_pages() as usize, 4 * cap_pages);
+}
+
+/// Format pin: a fixed sequence of writes with two commits, on one
+/// element store and one page store, leaves device images whose FNV-1a
+/// hashes are constants. Any change to the bytes a commit writes —
+/// superblock, metadata slot, page table, the element count prefix or
+/// page payloads — changes a hash.
+#[test]
+fn golden_device_images() {
+    let dev = CrashDev::new();
+    let mut fm = FileMem::<u64, CrashDev>::create_on(dev.clone(), PAGE, CACHE, 8).unwrap();
+    fm.resize(70, 7);
+    for i in 0..70 {
+        fm.set(i, i as u64 * 0x9E37_79B9);
+    }
+    fm.commit_meta(b"elem epoch one").unwrap();
+    fm.resize(150, 3);
+    for i in (0..150).step_by(3) {
+        fm.set(i, !(i as u64));
+    }
+    fm.resize(120, 0);
+    fm.commit_meta(b"elem epoch two").unwrap();
+    drop(fm);
+    assert_eq!(
+        fnv1a(&dev.snapshot()),
+        0x141722e54a580fd6,
+        "element store image"
+    );
+
+    let dev = CrashDev::new();
+    let mut fp = FilePages::create_on(dev.clone(), PAGE, CACHE).unwrap();
+    for _ in 0..10 {
+        let id = fp.alloc_page();
+        fp.with_page_mut(id, |pg| pg.fill(id as u8 * 17 + 1));
+    }
+    fp.commit_meta(b"pages epoch one").unwrap();
+    for id in (0..10u32).step_by(2) {
+        fp.with_page_mut(id, |pg| pg[id as usize] = 0xEE);
+    }
+    let id = fp.alloc_page();
+    fp.with_page_mut(id, |pg| pg.fill(0x5A));
+    fp.commit_meta(b"pages epoch two").unwrap();
+    drop(fp);
+    assert_eq!(
+        fnv1a(&dev.snapshot()),
+        0xa1e3b1a80f69eea8,
+        "page store image"
+    );
 }

@@ -38,9 +38,9 @@ use cosbt_core::{
     BasicCola, Cursor, DeamortBasicCola, DeamortCola, Dictionary, EpochStats, GCola, MetaError,
     UpdateBatch, WorkerPool,
 };
-use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
+use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_ELEM, KIND_PAGES};
 use cosbt_dam::{
-    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, Mem, PlainMem,
+    AtomicIoStats, DirectFile, FilePages, FileStore, IoStats, Mem, PageStore, PlainMem,
     DEFAULT_PAGE_SIZE,
 };
 use cosbt_shuttle::ShuttleTree;
@@ -765,7 +765,7 @@ impl DbBuilder {
         let label = self.label();
         let unsupported = |what: &str| BuildError::Unsupported(format!("{what} ({label})"));
         let mut dicts: Vec<Shard> = Vec::with_capacity(self.shards);
-        let mut ios: Vec<StoreHandle> = Vec::new();
+        let mut ios: Vec<FileStore<DirectFile>> = Vec::new();
         for i in 0..self.shards {
             match self.build_shard(i, &unsupported) {
                 Ok((dict, io)) => {
@@ -951,7 +951,7 @@ impl DbBuilder {
             None
         };
         let mut dicts: Vec<Shard> = Vec::with_capacity(self.shards);
-        let mut ios: Vec<StoreHandle> = Vec::with_capacity(self.shards);
+        let mut ios: Vec<FileStore<DirectFile>> = Vec::with_capacity(self.shards);
         for i in 0..self.shards {
             let max_epoch = epochs.as_ref().map(|e| e[i]);
             let (dict, io) = self.open_shard(i, base, max_epoch)?;
@@ -1067,60 +1067,69 @@ impl DbBuilder {
         idx: usize,
         base: &Path,
         max_epoch: Option<u64>,
-    ) -> Result<(Shard, StoreHandle), OpenError> {
+    ) -> Result<(Shard, FileStore<DirectFile>), OpenError> {
+        if let Structure::Shuttle { .. } = self.structure {
+            return Err(OpenError::Unsupported(BuildError::Unsupported(format!(
+                "the shuttle tree is in-memory only ({})",
+                self.label()
+            ))));
+        }
         let path = self.shard_file_path(base, idx);
         let direct = self.backend.file_params().map(|(_, d)| d).unwrap_or(false);
         let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
-        let (expected_tag, _) = self.structure_identity();
-        let meta_err = |source: MetaError| OpenError::Meta {
+        let dev = DirectFile::open(&path, direct)
+            .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
+        let (pages, meta) = FilePages::open_bounded(dev, cache_pages, self.store_kind(), max_epoch)
+            .map_err(|e| store_error(&path, e))?;
+        self.check_page_size(&path, pages.page_size())?;
+        let found = peek_tag(&meta).ok_or_else(|| OpenError::Meta {
             path: path.clone(),
+            source: MetaError::Truncated,
+        })?;
+        if found != self.structure_identity().0 {
+            return Err(OpenError::StructureMismatch {
+                path,
+                found: tag_name(found).to_string(),
+                expected: self.label(),
+            });
+        }
+        let store = pages.into_shared();
+        Ok((self.file_shard(&store, Some(&meta), &path)?, store))
+    }
+
+    /// `(kind, element stride)` of the configured structure's store file:
+    /// the trees keep raw pages, the COLAs an array of cells at the
+    /// paper's 32-byte modeled element size.
+    fn store_kind(&self) -> (u32, u32) {
+        match self.structure {
+            Structure::BTree | Structure::Brt => (KIND_PAGES, 0),
+            _ => (KIND_ELEM, 32),
+        }
+    }
+
+    /// The configured structure over a shard's file store: fresh when
+    /// `meta` is `None`, else reopened from the control state a previous
+    /// `save_meta` wrote.
+    fn file_shard(
+        &self,
+        store: &FileStore<DirectFile>,
+        meta: Option<&[u8]>,
+        path: &Path,
+    ) -> Result<Shard, OpenError> {
+        let meta_err = |source: MetaError| OpenError::Meta {
+            path: path.to_path_buf(),
             source,
         };
-        let check = |found_meta: &[u8]| -> Result<(), OpenError> {
-            match peek_tag(found_meta) {
-                Some(tag) if tag == expected_tag => Ok(()),
-                Some(tag) => Err(OpenError::StructureMismatch {
-                    path: path.clone(),
-                    found: tag_name(tag).to_string(),
-                    expected: self.label(),
-                }),
-                None => Err(meta_err(MetaError::Truncated)),
+        let pages = || store.clone();
+        Ok(match (self.structure, meta) {
+            (Structure::BTree, None) => Box::new(BTree::new(pages())),
+            (Structure::BTree, Some(m)) => {
+                Box::new(BTree::from_parts(pages(), m).map_err(meta_err)?)
             }
-        };
-        match self.structure {
-            Structure::Shuttle { .. } => Err(OpenError::Unsupported(BuildError::Unsupported(
-                format!("the shuttle tree is in-memory only ({})", self.label()),
-            ))),
-            Structure::BTree | Structure::Brt => {
-                let dev = DirectFile::open(&path, direct)
-                    .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
-                let (store, meta) =
-                    FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max_epoch)
-                        .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, cosbt_dam::PageStore::page_size(&store))?;
-                check(&meta)?;
-                let store = ArcFilePages::new(store);
-                let dict: Shard = match self.structure {
-                    Structure::BTree => {
-                        Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
-                    }
-                    _ => Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?),
-                };
-                Ok((dict, StoreHandle::Pages(store)))
-            }
-            Structure::BasicCola | Structure::GCola { .. } => {
-                let dev = DirectFile::open(&path, direct)
-                    .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
-                let (store, meta) =
-                    FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max_epoch)
-                        .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, store.page_size())?;
-                check(&meta)?;
-                let mem = ArcFileMem::new(store);
-                let dict = self.cola_shard(mem.clone(), Some(&meta), &path)?;
-                Ok((dict, StoreHandle::Mem(mem)))
-            }
-        }
+            (Structure::Brt, None) => Box::new(Brt::new(pages())),
+            (Structure::Brt, Some(m)) => Box::new(Brt::from_parts(pages(), m).map_err(meta_err)?),
+            _ => self.cola_shard(store.elems::<Cell>(), meta, path)?,
+        })
     }
 
     /// Builds the configured COLA variant over `mem`: a fresh store when
@@ -1184,16 +1193,6 @@ impl DbBuilder {
         Ok(dict)
     }
 
-    /// [`DbBuilder::cola_shard`] over a fresh store, which has no
-    /// metadata to reject.
-    fn fresh_cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
-        &self,
-        mem: M,
-    ) -> Result<Shard, BuildError> {
-        self.cola_shard(mem, None, Path::new(""))
-            .map_err(|e| BuildError::Unsupported(e.to_string()))
-    }
-
     fn check_page_size(&self, path: &Path, found: usize) -> Result<(), OpenError> {
         if found != DEFAULT_PAGE_SIZE {
             return Err(OpenError::PageSizeMismatch {
@@ -1242,56 +1241,41 @@ impl DbBuilder {
 
     /// Builds shard `idx` of [`DbBuilder::shards`] (the whole dictionary
     /// when unsharded): one structure instance plus, for file backends,
-    /// the I/O handle of its backing store.
+    /// the handle of its backing store.
     fn build_shard(
         &self,
         idx: usize,
         unsupported: &dyn Fn(&str) -> BuildError,
-    ) -> Result<(Shard, Option<StoreHandle>), BuildError> {
+    ) -> Result<(Shard, Option<FileStore<DirectFile>>), BuildError> {
+        // A fresh structure has no metadata to reject.
+        let fresh =
+            |r: Result<Shard, OpenError>| r.map_err(|e| BuildError::Unsupported(e.to_string()));
         // Each shard gets an even share of the cache budget.
         let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
         match (&self.backend, self.structure) {
-            (Backend::Mem, Structure::BasicCola | Structure::GCola { .. }) => {
-                Ok((self.fresh_cola_shard(PlainMem::new())?, None))
-            }
+            (Backend::Mem, Structure::BasicCola | Structure::GCola { .. }) => Ok((
+                fresh(self.cola_shard(PlainMem::new(), None, Path::new("")))?,
+                None,
+            )),
             (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
             (Backend::Mem, Structure::Brt) => Ok((Box::new(Brt::new_plain()), None)),
             (Backend::Mem, Structure::Shuttle { c }) => Ok((Box::new(ShuttleTree::new(c)), None)),
-            (Backend::File { path: base, direct }, structure) => {
+            (Backend::File { .. }, Structure::Shuttle { .. }) => Err(unsupported(
+                "the shuttle tree is in-memory only (its file layout is measured \
+                 through LayoutImage, not served from disk)",
+            )),
+            (Backend::File { path: base, direct }, _) => {
                 let path = self.shard_file_path(base, idx);
-                match structure {
-                    Structure::Shuttle { .. } => Err(unsupported(
-                        "the shuttle tree is in-memory only (its file layout is measured \
-                         through LayoutImage, not served from disk)",
-                    )),
-                    Structure::BTree | Structure::Brt => {
-                        let dev = DirectFile::create(&path, *direct)?;
-                        let store = ArcFilePages::new(FilePages::create_on_sized(
-                            dev,
-                            DEFAULT_PAGE_SIZE,
-                            cache_pages,
-                            self.meta_slot_bytes,
-                        )?);
-                        let dict: Shard = match structure {
-                            Structure::BTree => Box::new(BTree::new(store.clone())),
-                            _ => Box::new(Brt::new(store.clone())),
-                        };
-                        Ok((dict, Some(StoreHandle::Pages(store))))
-                    }
-                    Structure::BasicCola | Structure::GCola { .. } => {
-                        // 32-byte modeled elements, as in the paper.
-                        let dev = DirectFile::create(&path, *direct)?;
-                        let mem = ArcFileMem::new(FileMem::<Cell, DirectFile>::create_on_sized(
-                            dev,
-                            DEFAULT_PAGE_SIZE,
-                            cache_pages,
-                            32,
-                            self.meta_slot_bytes,
-                        )?);
-                        let dict = self.fresh_cola_shard(mem.clone())?;
-                        Ok((dict, Some(StoreHandle::Mem(mem))))
-                    }
-                }
+                let dev = DirectFile::create(&path, *direct)?;
+                let store = FilePages::create_kind(
+                    dev,
+                    DEFAULT_PAGE_SIZE,
+                    cache_pages,
+                    self.store_kind(),
+                    self.meta_slot_bytes,
+                )?
+                .into_shared();
+                Ok((fresh(self.file_shard(&store, None, &path))?, Some(store)))
             }
         }
     }
@@ -1414,64 +1398,6 @@ impl DbBuilder {
     }
 }
 
-/// Shared I/O-counter handle of one file-backed shard.
-#[derive(Clone)]
-enum StoreHandle {
-    Mem(ArcFileMem<Cell, DirectFile>),
-    Pages(ArcFilePages<DirectFile>),
-}
-
-impl StoreHandle {
-    fn stats(&self) -> IoStats {
-        match self {
-            StoreHandle::Mem(m) => m.stats(),
-            StoreHandle::Pages(p) => p.stats(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        match self {
-            StoreHandle::Mem(m) => m.reset_stats(),
-            StoreHandle::Pages(p) => p.reset_stats(),
-        }
-    }
-
-    fn take_stats(&self) -> IoStats {
-        match self {
-            StoreHandle::Mem(m) => m.take_stats(),
-            StoreHandle::Pages(p) => p.take_stats(),
-        }
-    }
-
-    fn drop_cache(&self) -> io::Result<()> {
-        match self {
-            StoreHandle::Mem(m) => m.drop_cache(),
-            StoreHandle::Pages(p) => p.drop_cache(),
-        }
-    }
-
-    fn commit_meta(&self, structure_meta: &[u8]) -> io::Result<()> {
-        match self {
-            StoreHandle::Mem(m) => m.commit_meta(structure_meta),
-            StoreHandle::Pages(p) => p.commit_meta(structure_meta),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            StoreHandle::Mem(m) => m.epoch(),
-            StoreHandle::Pages(p) => p.epoch(),
-        }
-    }
-
-    fn set_reclaim_gate(&self, gate: std::sync::Arc<dyn cosbt_dam::ReclaimGate>) {
-        match self {
-            StoreHandle::Mem(m) => m.set_reclaim_gate(gate),
-            StoreHandle::Pages(p) => p.set_reclaim_gate(gate),
-        }
-    }
-}
-
 /// The one I/O-statistics surface of a [`Db`]: a cheap, cloneable
 /// handle over every shard's counters, obtained from [`Db::io`].
 ///
@@ -1484,13 +1410,15 @@ impl StoreHandle {
 /// [`is_instrumented`](IoHandle::is_instrumented) returns false.
 #[derive(Clone)]
 pub struct IoHandle {
-    handles: Vec<StoreHandle>,
+    /// Each file-backed shard's counter block; the handle holds nothing
+    /// else of the store, so it never keeps a file or cache alive.
+    stats: Vec<std::sync::Arc<AtomicIoStats>>,
 }
 
 impl IoHandle {
     /// Current counters, summed across shards.
     pub fn snapshot(&self) -> IoStats {
-        self.handles.iter().map(|h| h.stats()).sum()
+        self.stats.iter().map(|s| s.snapshot()).sum()
     }
 
     /// Returns the counters accumulated so far (summed across shards)
@@ -1498,13 +1426,13 @@ impl IoHandle {
     /// the next. Each shard's swap is atomic, so no access is lost at
     /// the boundary even while worker threads are mid-batch.
     pub fn take(&self) -> IoStats {
-        self.handles.iter().map(|h| h.take_stats()).sum()
+        self.stats.iter().map(|s| s.take()).sum()
     }
 
     /// Resets the counters of every shard (lock-free).
     pub fn reset(&self) {
-        for h in &self.handles {
-            h.reset_stats();
+        for s in &self.stats {
+            s.reset();
         }
     }
 
@@ -1516,14 +1444,14 @@ impl IoHandle {
     /// Whether any instrumented (file-backed) store is attached; false
     /// for memory backends, whose counters always read zero.
     pub fn is_instrumented(&self) -> bool {
-        !self.handles.is_empty()
+        !self.stats.is_empty()
     }
 }
 
 impl std::fmt::Debug for IoHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoHandle")
-            .field("shards", &self.handles.len())
+            .field("shards", &self.stats.len())
             .field("stats", &self.snapshot())
             .finish()
     }
@@ -1614,9 +1542,9 @@ impl Dictionary for DbDict {
 /// ```
 pub struct Db {
     dict: DbDict,
-    /// One handle per file-backed shard, in shard order; empty for
+    /// One store handle per file-backed shard, in shard order; empty for
     /// memory backends.
-    ios: Vec<StoreHandle>,
+    ios: Vec<FileStore<DirectFile>>,
     label: String,
     /// Whether the dictionary may have changed since the last commit;
     /// gates the best-effort sync-on-drop so a read-only session never
@@ -1762,7 +1690,7 @@ impl Db {
                 // Cross-shard commit point: rename the epoch vector into
                 // place only after every shard's own commit is durable.
                 if let Some(cp) = &self.commit_path {
-                    let epochs: Vec<u64> = self.ios.iter().map(StoreHandle::epoch).collect();
+                    let epochs: Vec<u64> = self.ios.iter().map(FileStore::epoch).collect();
                     write_file_atomic(cp, &encode_commit_record(&epochs))?;
                 }
             }
@@ -1781,7 +1709,7 @@ impl Db {
     /// borrowed or driven from another thread.
     pub fn io(&self) -> IoHandle {
         IoHandle {
-            handles: self.ios.clone(),
+            stats: self.ios.iter().map(FileStore::stats_handle).collect(),
         }
     }
 
@@ -1821,7 +1749,7 @@ impl Db {
     /// single-threaded transfer counts are byte-identical to builds
     /// without this subsystem.
     pub fn snapshot(&mut self) -> DbSnapshot {
-        let store_epochs: std::sync::Arc<[u64]> = self.ios.iter().map(StoreHandle::epoch).collect();
+        let store_epochs: std::sync::Arc<[u64]> = self.ios.iter().map(FileStore::epoch).collect();
         if self.mvcc.needs_seed() {
             let base = self.dict.range(0, u64::MAX);
             self.mvcc.seed(base, store_epochs);

@@ -19,7 +19,7 @@ use cosbt::cola::entry::Cell;
 use cosbt::cola::{BasicCola, DeamortBasicCola, DeamortCola, GCola, MetaError};
 use cosbt::dam::dev::CrashDev;
 use cosbt::dam::format::KIND_PAGES;
-use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, OpenError};
+use cosbt::dam::{FileMem, FilePages, FileStore, OpenError};
 use cosbt::shard::Shard;
 use cosbt::testkit::Rng;
 use cosbt::{brt::Brt, btree::BTree};
@@ -27,8 +27,8 @@ use cosbt::{brt::Brt, btree::BTree};
 const PAGE: usize = 512;
 const CACHE: usize = 4;
 
-type MemStore = ArcFileMem<Cell, CrashDev>;
-type PageStore = ArcFilePages<CrashDev>;
+type MemStore = FileMem<Cell, CrashDev>;
+type PageStore = FileStore<CrashDev>;
 /// A fallible structure reconstructor from a recovered store + metadata.
 type FromParts<S> = dyn Fn(S, &[u8]) -> Result<Shard, MetaError>;
 
@@ -148,7 +148,7 @@ fn crash_harness(
 
 fn mem_setup(make: &dyn Fn(MemStore) -> Shard) -> (CrashDev, MemStore, Shard) {
     let dev = CrashDev::new();
-    let store = ArcFileMem::new(FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap());
+    let store = FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap();
     let dict = make(store.clone());
     (dev, store, dict)
 }
@@ -166,9 +166,8 @@ fn mem_crash_test(
         dict,
         &move |d: &mut Shard| commit_store.commit_meta(&d.save_meta()),
         &move |image: Vec<u8>| {
-            let (fm, meta) =
+            let (store, meta) =
                 FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32)?;
-            let store = ArcFileMem::new(fm);
             let epoch = store.epoch();
             let dict = from_parts(store, &meta).map_err(|e| {
                 cosbt::dam::OpenError::Corrupt(format!("structure meta rejected: {e}"))
@@ -184,7 +183,9 @@ fn page_crash_test(
     from_parts: &'static FromParts<PageStore>,
 ) {
     let dev = CrashDev::new();
-    let store = ArcFilePages::new(FilePages::create_on(dev.clone(), PAGE, CACHE).unwrap());
+    let store = FilePages::create_on(dev.clone(), PAGE, CACHE)
+        .unwrap()
+        .into_shared();
     let dict = make(store.clone());
     let commit_store = store.clone();
     crash_harness(
@@ -195,7 +196,7 @@ fn page_crash_test(
         &move |image: Vec<u8>| {
             let (fp, meta) =
                 FilePages::open_on(CrashDev::from_image(image), CACHE, (KIND_PAGES, 0))?;
-            let store = ArcFilePages::new(fp);
+            let store = fp.into_shared();
             let epoch = store.epoch();
             let dict = from_parts(store, &meta).map_err(|e| {
                 cosbt::dam::OpenError::Corrupt(format!("structure meta rejected: {e}"))
@@ -250,7 +251,7 @@ where
     Check: Fn(&D),
 {
     let dev = CrashDev::new();
-    let store = ArcFileMem::new(FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap());
+    let store = FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap();
     let mut dict = new(store.clone());
     let mut rng = Rng::new(0x31D ^ name.len() as u64);
     let mut model = BTreeMap::new();
@@ -280,9 +281,8 @@ where
 
     for cut in (post..=end).step_by(5) {
         let image = dev.image_at(cut, None);
-        let (fm, meta) = FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32)
+        let (st, meta) = FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32)
             .unwrap_or_else(|e| panic!("{name}: cut {cut}: {e}"));
-        let st = ArcFileMem::new(fm);
         assert_eq!(st.epoch(), 1, "{name}: cut {cut} must recover epoch 1");
         let mut re = open(st, &meta).unwrap_or_else(|e| panic!("{name}: cut {cut}: {e}"));
         assert_eq!(
@@ -332,7 +332,7 @@ where
     Open: Fn(MemStore, &[u8]) -> Result<D, MetaError>,
 {
     let dev = CrashDev::new();
-    let store = ArcFileMem::new(FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap());
+    let store = FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap();
     let mut dict = new(store.clone());
     for i in 0..800u64 {
         dict.insert(i * 3 + 1, i);
@@ -351,7 +351,7 @@ where
     let (fm, meta) =
         FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32).unwrap();
     assert_eq!(meta, bad, "{name}: the corrupt payload committed");
-    match open(ArcFileMem::new(fm), &meta) {
+    match open(fm, &meta) {
         Err(MetaError::Invalid(_)) => {}
         Err(e) => panic!("{name}: wrong error class for bad fences: {e}"),
         Ok(_) => panic!("{name}: corrupt fence keys were accepted"),
@@ -363,8 +363,7 @@ where
     let image = dev.image_at(dev.journal_len(), None);
     let (fm, meta) =
         FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32).unwrap();
-    let mut re = open(ArcFileMem::new(fm), &meta)
-        .unwrap_or_else(|e| panic!("{name}: intact meta rejected: {e}"));
+    let mut re = open(fm, &meta).unwrap_or_else(|e| panic!("{name}: intact meta rejected: {e}"));
     let want: Vec<(u64, u64)> = (0..800u64).map(|i| (i * 3 + 1, i)).collect();
     assert_eq!(re.range(0, u64::MAX), want, "{name}: intact reopen");
 }

@@ -6,7 +6,7 @@
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
 use cosbt::cola::{BasicCola, Cell, DeamortCola, Dictionary, GCola};
-use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, DEFAULT_PAGE_SIZE};
+use cosbt::dam::{FileMem, FilePages, DEFAULT_PAGE_SIZE};
 
 fn tmpfile(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -36,7 +36,7 @@ fn run_file_backed(name: &str, dict: &mut dyn Dictionary, drop_cache: &dyn Fn())
 #[test]
 fn gcola_out_of_core() {
     let path = tmpfile("gcola");
-    let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
+    let mem = FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap();
     let handle = mem.clone();
     let mut d = GCola::new(mem, 4, 0.1);
     run_file_backed("4-COLA", &mut d, &|| handle.drop_cache().unwrap());
@@ -47,7 +47,7 @@ fn gcola_out_of_core() {
 #[test]
 fn basic_cola_out_of_core() {
     let path = tmpfile("basic");
-    let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
+    let mem = FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap();
     let handle = mem.clone();
     let mut d = BasicCola::new(mem);
     run_file_backed("basic-COLA", &mut d, &|| handle.drop_cache().unwrap());
@@ -57,7 +57,7 @@ fn basic_cola_out_of_core() {
 #[test]
 fn deamort_cola_out_of_core() {
     let path = tmpfile("deamort");
-    let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
+    let mem = FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap();
     let handle = mem.clone();
     let mut d = DeamortCola::new(mem);
     run_file_backed("deamortized-COLA", &mut d, &|| handle.drop_cache().unwrap());
@@ -67,7 +67,9 @@ fn deamort_cola_out_of_core() {
 #[test]
 fn btree_out_of_core() {
     let path = tmpfile("btree");
-    let pages = ArcFilePages::new(FilePages::create(&path, DEFAULT_PAGE_SIZE, 8).unwrap());
+    let pages = FilePages::create(&path, DEFAULT_PAGE_SIZE, 8)
+        .unwrap()
+        .into_shared();
     let handle = pages.clone();
     let mut d = BTree::new(pages);
     run_file_backed("B-tree", &mut d, &|| handle.drop_cache().unwrap());
@@ -77,7 +79,9 @@ fn btree_out_of_core() {
 #[test]
 fn brt_out_of_core() {
     let path = tmpfile("brt");
-    let pages = ArcFilePages::new(FilePages::create(&path, DEFAULT_PAGE_SIZE, 8).unwrap());
+    let pages = FilePages::create(&path, DEFAULT_PAGE_SIZE, 8)
+        .unwrap()
+        .into_shared();
     let handle = pages.clone();
     let mut d = Brt::new(pages);
     run_file_backed("BRT", &mut d, &|| handle.drop_cache().unwrap());
@@ -88,7 +92,7 @@ fn brt_out_of_core() {
 fn tiny_cache_still_correct() {
     // Two resident pages — brutal thrashing — must not affect results.
     let path = tmpfile("tiny");
-    let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 2, 32).unwrap());
+    let mem = FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 2, 32).unwrap();
     let mut d = GCola::new(mem, 2, 0.125);
     for i in 0..5_000u64 {
         d.insert(i, i);

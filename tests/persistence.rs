@@ -253,7 +253,7 @@ fn page_size_mismatch_is_typed_and_nondestructive() {
     let path = tmp("pagesize");
     std::fs::remove_file(&path).ok();
     // A valid store written with a non-default page size.
-    let mut fm: FileMem<Cell> = FileMem::create(&path, 1024, 4, 32).unwrap();
+    let fm: FileMem<Cell> = FileMem::create(&path, 1024, 4, 32).unwrap();
     fm.commit_meta(b"").unwrap();
     drop(fm);
     let before = std::fs::read(&path).unwrap();
@@ -618,13 +618,12 @@ fn missing_commit_record_is_typed() {
 fn corrupt_cascade_fences_are_a_typed_open_error() {
     use cosbt::cola::entry::Cell;
     use cosbt::cola::{Dictionary, GCola, Persist};
-    use cosbt::dam::{ArcFileMem, FileMem, DEFAULT_PAGE_SIZE};
+    use cosbt::dam::{FileMem, DEFAULT_PAGE_SIZE};
 
     let path = tmp("fences");
     std::fs::remove_file(&path).ok();
     {
-        let fm: FileMem<Cell> = FileMem::create(&path, DEFAULT_PAGE_SIZE, 4, 32).unwrap();
-        let store = ArcFileMem::new(fm);
+        let store: FileMem<Cell> = FileMem::create(&path, DEFAULT_PAGE_SIZE, 4, 32).unwrap();
         let mut cola = GCola::new(store.clone(), 4, 0.1);
         for k in 0..800u64 {
             cola.insert(k * 3 + 1, k);
